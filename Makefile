@@ -20,12 +20,15 @@
 #                        (chase-as-a-service; see docs/server.md)
 #   make verify-server - the daemon's end-to-end suite + a short
 #                        throughput smoke over real HTTP
+#   make perfbench-test - the end-to-end benchmark's own tests
+#                        (perfbench/tests: harness, probes, output checks)
 #   make verify        - test + bench-smoke + verify-incremental + analyze
 #
 # CI (.github/workflows/ci.yml) runs exactly these targets — test and
 # verify-incremental on a Python 3.11/3.12/3.13 matrix, bench-smoke
 # (skipped on doc-only pushes), lint, coverage, a multi-core
-# shard-parity pass, an offline `pip install . --no-build-isolation
+# shard-parity pass, a server smoke job (daemon suite, perfbench-test,
+# throughput smoke), an offline `pip install . --no-build-isolation
 # --no-index` job, and a scheduled/manual bench-compare gate — so the
 # workflow file is the canonical, always-exercised verify recipe.
 
@@ -36,7 +39,7 @@ COV_MIN ?= 85
 SERVE_PORT ?= 8765
 
 .PHONY: test bench-smoke bench bench-compare bench-trend coverage verify \
-	verify-incremental verify-server serve lint analyze \
+	verify-incremental verify-server serve lint analyze perfbench-test \
 	install-editable install
 
 test:
@@ -77,6 +80,9 @@ verify-server:
 
 lint:
 	ruff check src tests benchmarks examples setup.py
+
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 analyze:
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.analysis src

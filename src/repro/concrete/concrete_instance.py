@@ -335,8 +335,9 @@ class ConcreteInstance:
                     lifted_fact = item.lifted()
                     lifted.add(lifted_fact)
                     by_lifted[lifted_fact] = item
-            self._lifted = lifted
+            # Map first: a thread that sees the view must see its map.
             self._by_lifted = by_lifted
+            self._lifted = lifted
         return self._lifted
 
     def resolve_lifted(self, item: Fact) -> ConcreteFact:

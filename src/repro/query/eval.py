@@ -99,6 +99,7 @@ __all__ = [
     "evaluate_snapshot_indexed",
     "evaluate_abstract_indexed",
     "evaluate_concrete_indexed",
+    "forget_normalizations",
 ]
 
 #: ``"indexed"`` is the plan-probing evaluator of this module;
@@ -407,6 +408,11 @@ def _disjunct_signature(
 _NORMALIZATION_MEMO: "WeakKeyDictionary[ConcreteInstance, ReplayLedger]" = (
     WeakKeyDictionary()
 )
+
+
+def forget_normalizations(solution: ConcreteInstance) -> None:
+    """Drop *solution*'s normalization memo while it stays alive elsewhere."""
+    _NORMALIZATION_MEMO.pop(solution, None)
 
 
 def abstract_query_signature(

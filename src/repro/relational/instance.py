@@ -375,11 +375,13 @@ class Instance:
             clone._facts_by_relation[relation] = set(bucket)
         clone._max_arity.update(self._max_arity)
         if preserve_caches:
-            for relation, index in self._index.items():
+            # Snapshot the cache maps: on a target shared across threads,
+            # a concurrent lookup may add a relation's cache mid-copy.
+            for relation, index in tuple(self._index.items()):
                 clone._index[relation] = {
                     key: list(entries) for key, entries in index.items()
                 }
-            for relation, ordered in self._ordered.items():
+            for relation, ordered in tuple(self._ordered.items()):
                 clone._ordered[relation] = list(ordered)
         return clone
 

@@ -46,13 +46,23 @@ import threading
 from typing import Any, Callable
 
 from repro.errors import ReproError
-from repro.server.protocol import ProtocolError
+from repro.server.protocol import (
+    ProtocolError,
+    delta_from_payload,
+    require_list,
+    require_str,
+    unwrap_envelope,
+)
 from repro.server.sessions import SessionManager
 
 __all__ = ["ReproServer", "ServerThread", "serve"]
 
 #: Refuse request bodies beyond this size (64 MiB) with a 413.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+#: Refuse a request head with more header lines, or a longer header
+#: line (bytes, terminator included), with a 400.
+MAX_HEADERS = 100
+MAX_HEADER_LINE = 8192
 
 _REASONS = {
     200: "OK",
@@ -88,6 +98,25 @@ def _parse_query_string(raw: str) -> dict[str, str]:
         key, _, value = piece.partition("=")
         out[key] = value
     return out
+
+
+async def _read_headers(
+    reader: asyncio.StreamReader,
+) -> tuple[dict[str, str], str | None]:
+    """The request's header fields, or an error naming the limit broken."""
+    headers: dict[str, str] = {}
+    for _ in range(MAX_HEADERS + 1):
+        try:
+            line = await reader.readline()
+        except ValueError:  # over the stream's own line buffer
+            line = None
+        if line is None or len(line) > MAX_HEADER_LINE:
+            return headers, f"header line over {MAX_HEADER_LINE} bytes"
+        if not line or line in (b"\r\n", b"\n"):
+            return headers, None
+        key, _, value = line.decode("latin-1").partition(":")
+        headers[key.strip().lower()] = value.strip()
+    return headers, f"more than {MAX_HEADERS} header lines"
 
 
 class ReproServer:
@@ -152,12 +181,7 @@ class ReproServer:
                 keep_alive = await self._handle_one(reader, writer)
                 if not keep_alive:
                     break
-        except (
-            asyncio.IncompleteReadError,
-            asyncio.CancelledError,
-            ConnectionError,
-            asyncio.LimitOverrunError,
-        ):
+        except (asyncio.IncompleteReadError, asyncio.CancelledError, ConnectionError):
             pass
         finally:
             # No wait_closed here: the transport closes on the loop's
@@ -170,7 +194,11 @@ class ReproServer:
     async def _handle_one(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> bool:
-        request_line = await reader.readline()
+        try:
+            request_line = await reader.readline()
+        except ValueError:  # over the stream's own line buffer
+            await self._respond(writer, 400, {"error": "request line too long"})
+            return False
         if not request_line or not request_line.strip():
             return False
         try:
@@ -180,19 +208,16 @@ class ReproServer:
         except (UnicodeDecodeError, ValueError):
             await self._respond(writer, 400, {"error": "malformed request line"})
             return False
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if not line or line in (b"\r\n", b"\n"):
-                break
-            key, _, value = line.decode("latin-1").partition(":")
-            headers[key.strip().lower()] = value.strip()
+        headers, error = await _read_headers(reader)
+        if error is not None:
+            await self._respond(writer, 400, {"error": error})
+            return False
         keep_alive = headers.get("connection", "keep-alive").lower() != "close"
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
+        length_text = headers.get("content-length", "0")
+        if not length_text.isdecimal():
             await self._respond(writer, 400, {"error": "bad Content-Length"})
             return False
+        length = int(length_text)
         if length > MAX_BODY_BYTES:
             await self._respond(
                 writer, 413, {"error": f"request body over {MAX_BODY_BYTES} bytes"}
@@ -269,8 +294,6 @@ class ReproServer:
             if method == "GET":
                 return lambda: {"sessions": manager.list_sessions()}, {}
             if method == "POST":
-                from repro.server.protocol import unwrap_envelope
-
                 _version, payload = unwrap_envelope(request.payload)
                 if "setting" not in payload or "source" not in payload:
                     raise ProtocolError(
@@ -304,20 +327,14 @@ class ReproServer:
             return handler, {"name": name}
         if method != "POST":
             raise ProtocolError(f"use POST on /sessions/{{name}}/{rest}", status=405)
-        from repro.server.protocol import unwrap_envelope
-
         version, payload = unwrap_envelope(request.payload)
         if rest == "delta":
-            from repro.server.protocol import delta_from_payload
-
             return manager.delta, {
                 "name": name,
                 "delta": delta_from_payload(version, payload),
                 "legacy": version is None,
             }
         if rest == "events":
-            from repro.server.protocol import require_list
-
             mapping = payload.get("mapping")
             if mapping is not None and not isinstance(mapping, dict):
                 raise ProtocolError("request field 'mapping' must be an object")
@@ -327,8 +344,6 @@ class ReproServer:
                 "mapping_json": mapping,
             }
         if rest == "query":
-            from repro.server.protocol import require_str
-
             return manager.query, {
                 "name": name,
                 "query_text": require_str(payload, "query"),

@@ -8,12 +8,12 @@ earlier chase gets the recorded outcome back without touching a worker.
 The identity-only digest discipline (TDX005) is what makes the key
 stable across processes.
 
-Entries store the chase outcome as **pickled bytes** (target +
-:class:`~repro.concrete.cchase.CChaseReplayState`), not live objects:
-a hit materializes an independent object graph per session, so two
-sessions served from one entry can never alias each other's replay
-ledgers or mutate a shared target.  The canonical JSON rendering of the
-target is kept alongside so serving a hit does not even re-serialize.
+Entries hold the chase's own target, shared and immutable: nothing
+changes a chased target after the chase, so every session served from
+one entry adopts the same instance — lifted view and indexes warm — with
+no copy.  Replay state is per session and never cached: replay is
+signature-checked and output-neutral, so a session keeps its own across
+a hit.
 
 Failed chases cache too — failure is as content-determined as success,
 and a repeated doomed request should consume zero chase work.
@@ -21,15 +21,13 @@ and a repeated doomed request should consume zero chase work.
 
 from __future__ import annotations
 
-import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.concrete.cchase import CChaseReplayState, CChaseResult
+from repro.concrete.cchase import CChaseResult
 from repro.concrete.concrete_instance import ConcreteInstance
-from repro.serialize.jsonio import concrete_instance_to_json
 
 __all__ = ["CachedChase", "ChaseCache"]
 
@@ -39,8 +37,7 @@ class CachedChase:
     """One recorded chase outcome, content-addressed by *digest*."""
 
     digest: str
-    payload: bytes = field(repr=False)
-    target_json: dict = field(repr=False)
+    target: ConcreteInstance = field(repr=False)
     facts: int
     steps: int
     failed: bool
@@ -50,17 +47,16 @@ class CachedChase:
     def from_result(cls, digest: str, result: CChaseResult) -> "CachedChase":
         return cls(
             digest=digest,
-            payload=pickle.dumps((result.target, result.replay_state)),
-            target_json=concrete_instance_to_json(result.target),
+            target=result.target,
             facts=len(result.target),
             steps=len(result.trace),
             failed=result.failed,
             failure=str(result.failure) if result.failure is not None else None,
         )
 
-    def materialize(self) -> tuple[ConcreteInstance, CChaseReplayState | None]:
-        """A fresh (target, replay state) object graph for one consumer."""
-        return pickle.loads(self.payload)
+    def materialize(self) -> ConcreteInstance:
+        """The shared target itself: read-only for every consumer."""
+        return self.target
 
 
 class ChaseCache:

@@ -29,7 +29,6 @@ import re
 from typing import Any, Iterable, Sequence
 
 from repro.concrete.concrete_fact import ConcreteFact
-from repro.concrete.concrete_instance import ConcreteInstance
 from repro.deltas import SourceDelta
 from repro.errors import DeltaError
 from repro.serialize.jsonio import concrete_fact_from_json, concrete_fact_to_json
@@ -42,7 +41,6 @@ __all__ = [
     "delta_from_payload",
     "diff_to_json",
     "facts_from_json",
-    "instance_diff",
     "require_list",
     "require_str",
     "unwrap_envelope",
@@ -156,20 +154,6 @@ def facts_from_json(items: Sequence[Any], what: str) -> list[ConcreteFact]:
         except Exception as exc:  # parse errors come in several types
             raise ProtocolError(f"{what}[{index}] is not a valid fact: {exc}") from exc
     return facts
-
-
-def instance_diff(
-    old: ConcreteInstance, new: ConcreteInstance
-) -> tuple[list[ConcreteFact], list[ConcreteFact]]:
-    """``(added, removed)`` between two targets, in canonical order.
-
-    Instance iteration is already content-sorted, so the diff of two
-    byte-identical instances is empty and the diff between any two is
-    deterministic regardless of how either was built.
-    """
-    added = [item for item in new if item not in old]
-    removed = [item for item in old if item not in new]
-    return added, removed
 
 
 def diff_to_json(

@@ -15,6 +15,7 @@ every chase this manager runs is keyed by the content digest of its
 (setting, cumulative source), so an identical re-chase — a second
 session created from the same inputs, or a delta that returns a session
 to a previous state — is served from the cache without any chase work.
+Hits share the entry's immutable target; replay state stays per session.
 
 Locking: the manager's lock guards the session map and the process
 pool; each session's lock serializes its own chase/query/snapshot work.
@@ -30,6 +31,7 @@ spool at a directory untrusted writers can reach.
 
 from __future__ import annotations
 
+import os
 import pickle
 import threading
 from dataclasses import dataclass, field
@@ -43,6 +45,7 @@ from repro.dependencies.mapping import DataExchangeSetting
 from repro.errors import DeltaError, EventError, ReproError
 from repro.events import EventLog, EventMapping, FollowCursor
 from repro.query import ConjunctiveQuery, QueryLog, UnionQuery
+from repro.query.eval import forget_normalizations
 from repro.query.naive_eval import naive_evaluate_concrete
 from repro.relational.terms import term_sort_key
 from repro.serialize.digest import chase_request_digest, instance_digest
@@ -57,7 +60,6 @@ from repro.server.protocol import (
     ProtocolError,
     check_session_name,
     diff_to_json,
-    instance_diff,
 )
 
 __all__ = ["Session", "SessionManager", "SessionSnapshot", "UnknownSessionError"]
@@ -216,34 +218,33 @@ class SessionManager:
     # -- the chase front door ---------------------------------------------
 
     def _chase(
-        self,
-        session: Session,
-        source: ConcreteInstance,
-        incremental: "CChaseReplayState | bool",
+        self, session: Session, source: ConcreteInstance
     ) -> tuple[ConcreteInstance, CChaseReplayState | None, dict[str, Any]]:
         """Chase *source*, cache-first.  Raises 409 on chase failure.
 
-        The cache is consulted before any work: a digest hit
-        materializes the recorded (target, replay state) and the chase
-        machinery is never touched.  A miss runs the c-chase with the
-        session's replay state attached — so even misses replay every
-        normalization group the delta left unchanged — and the outcome
-        (success or failure) is recorded under its digest.
+        The cache is consulted before any work: a digest hit adopts the
+        recorded target — shared, immutable — without touching the chase
+        machinery, and the session keeps its replay state.  A miss runs
+        the c-chase with that replay state attached (so even misses
+        replay every normalization group the delta left unchanged) and
+        records the outcome, success or failure, under its digest.
         """
         digest = chase_request_digest(session.setting, source)
         cached = self.cache.get(digest)
+        replay_state = session.replay_state
+        hit = cached is not None
         if cached is None:
+            incremental = replay_state if replay_state is not None else True
             result = c_chase(source, session.setting, incremental=incremental)
             cached = CachedChase.from_result(digest, result)
             self.cache.put(cached)
-            hit = False
+            replay_state = result.replay_state
         else:
-            hit = True
             session.stats["cache_hits"] += 1
         session.stats["chases"] += 1
         if cached.failed:
             raise ProtocolError(f"chase failed: {cached.failure}", status=409)
-        target, replay_state = cached.materialize()
+        target = cached.materialize()
         meta = {
             "digest": digest,
             "cached": hit,
@@ -286,9 +287,7 @@ class SessionManager:
             source=source,
             target=ConcreteInstance(),
         )
-        target, replay_state, meta = self._chase(probe, source, incremental=True)
-        probe.target = target
-        probe.replay_state = replay_state
+        probe.target, probe.replay_state, meta = self._chase(probe, source)
         with self._lock:
             self._sessions[name] = probe
         return {"session": probe.info(), **meta}
@@ -304,11 +303,12 @@ class SessionManager:
             source = delta.applied_to(session.source)
         except DeltaError as exc:
             raise ProtocolError(str(exc)) from exc
-        incremental = (
-            session.replay_state if session.replay_state is not None else True
-        )
-        target, replay_state, meta = self._chase(session, source, incremental)
+        target, replay_state, meta = self._chase(session, source)
         target_diff = SourceDelta.between(session.target, target)
+        if target is not session.target:
+            # The cache keeps the old target alive; its fragmented query
+            # instances need not be.
+            forget_normalizations(session.target)
         session.source = source
         session.target = target
         session.replay_state = replay_state
@@ -571,8 +571,17 @@ class SessionManager:
                 event_log=session.event_log,
             )
             path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "wb") as handle:
-                pickle.dump(payload, handle)
+            # Write aside, then rename over: a crash mid-write leaves the
+            # previous snapshot intact.
+            temp = path.with_name(f".{path.name}.tmp")
+            try:
+                with open(temp, "wb") as handle:
+                    pickle.dump(payload, handle)
+                    handle.flush()
+                    os.fsync(handle.fileno())
+                os.replace(temp, path)
+            finally:
+                temp.unlink(missing_ok=True)
         return {"session": name, "path": str(path)}
 
     def load(self, name: str) -> dict[str, Any]:
@@ -626,6 +635,8 @@ class SessionManager:
             result.update(self.snapshot(name))
             result["snapshotted"] = True
         with self._lock:
-            if self._sessions.pop(name, None) is None:
-                raise UnknownSessionError(name)
+            session = self._sessions.pop(name, None)
+        if session is None:
+            raise UnknownSessionError(name)
+        forget_normalizations(session.target)
         return result

@@ -229,6 +229,35 @@ class TestSnapshotEvictLoad:
         assert result["source_facts"] == 13
         client.evict("snap")
 
+    def test_failed_dump_keeps_previous_snapshot(self, client, server, monkeypatch):
+        import pickle
+
+        client.create("crash", ORG_SETTING_JSON, org_source_json(9))
+        client.snapshot("crash")
+        before = client.target("crash")
+        client.delta("crash", add=[concrete_fact_to_json(ORG_FACTS[9])])
+        real_dump = pickle.dump
+
+        def dump_then_crash(payload, handle):
+            real_dump(payload, handle)
+            handle.truncate(handle.tell() // 2)
+            raise OSError("disk vanished mid-write")
+
+        monkeypatch.setattr(pickle, "dump", dump_then_crash)
+        with pytest.raises(ClientError) as err:
+            client.snapshot("crash")
+        assert err.value.status == 500
+        monkeypatch.undo()
+        spool = server.manager.snapshot_dir
+        assert sorted(p.name for p in spool.iterdir() if "crash" in p.name) == [
+            "crash.session"
+        ]
+        client.evict("crash")
+        client.load("crash")
+        assert canonical(client.target("crash")) == canonical(before)
+        assert client.info("crash")["source_facts"] == 9
+        client.evict("crash")
+
     def test_load_unknown_is_404(self, client):
         with pytest.raises(ClientError) as err:
             client.load("never-snapshotted")
@@ -286,6 +315,29 @@ class TestErrorMapping:
         assert response.status == 400
         response.read()
         connection.close()
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"Content-Length: -5\r\n",
+            b"Content-Length: +5\r\n",
+            b"".join(b"X-Filler-%d: 1\r\n" % index for index in range(101)),
+            b"X-Long: " + b"a" * 9000 + b"\r\n",
+            b"X-Huge: " + b"a" * 70000 + b"\r\n",
+        ],
+        ids=["negative-length", "signed-length", "too-many-headers",
+             "long-header-line", "header-line-over-buffer"],
+    )
+    def test_malformed_head_is_400(self, server, client, head):
+        import socket
+
+        with socket.create_connection(("127.0.0.1", server.port), timeout=30) as raw:
+            raw.sendall(b"POST /sessions HTTP/1.1\r\nHost: x\r\n" + head + b"\r\n")
+            reply = b""
+            while chunk := raw.recv(65536):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 "), reply[:80]
+        assert client.healthz()["status"] == "ok"
 
     def test_failing_chase_is_409(self, client):
         # The medical key EGD fails on conflicting treatments.

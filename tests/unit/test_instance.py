@@ -1,5 +1,8 @@
 """Unit tests for relational instances (snapshots)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import SchemaError
@@ -125,6 +128,55 @@ class TestTransformation:
         clone = simple.copy()
         clone.discard(fact("S", "Ada", "18k"))
         assert fact("S", "Ada", "18k") in simple
+
+    def test_cache_preserving_copy_races_lazy_lookups(self):
+        # A shared read-only instance may be copied on one thread while a
+        # lookup on another builds a relation's index for the first time.
+        relations = 48
+
+        def race() -> list[BaseException]:
+            inst = Instance(
+                fact(f"R{r}", f"p{i}", f"c{i % 5}")
+                for r in range(relations)
+                for i in range(24)
+            )
+            for r in range(0, relations, 2):
+                inst.lookup_ordered(f"R{r}", {0: Constant("p0")})
+            errors: list[BaseException] = []
+            barrier = threading.Barrier(2)
+
+            def copier() -> None:
+                try:
+                    barrier.wait(timeout=30)
+                    for _ in range(20):
+                        clone = inst.copy(preserve_caches=True)
+                        assert clone == inst
+                except BaseException as exc:  # noqa: BLE001 - asserted below
+                    errors.append(exc)
+
+            def prober() -> None:
+                try:
+                    barrier.wait(timeout=30)
+                    for r in range(1, relations, 2):
+                        assert len(inst.lookup_ordered(f"R{r}", {})) == 24
+                        inst.lookup_ordered(f"R{r}", {1: Constant("c1")})
+                except BaseException as exc:  # noqa: BLE001 - asserted below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=copier), threading.Thread(target=prober)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            return errors
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            failures = [errors for errors in (race() for _ in range(12)) if errors]
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, failures[0]
 
     def test_union(self, simple):
         other = Instance([fact("S", "Bob", "13k")])
