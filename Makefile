@@ -15,7 +15,8 @@
 #                        edge cases + Hypothesis property tests)
 #   make lint          - ruff over the whole tree (needs `pip install ruff`)
 #   make analyze       - repro.analysis invariant linter over src/
-#                        (stdlib-only; TDX001-TDX006, see docs/architecture.md)
+#                        (stdlib-only; TDX001-TDX003, TDX005, TDX006;
+#                        see docs/architecture.md)
 #   make serve         - run the resident chase daemon on $(SERVE_PORT)
 #                        (chase-as-a-service; see docs/server.md)
 #   make verify-server - the daemon's end-to-end suite + a short
@@ -26,8 +27,8 @@
 #
 # CI (.github/workflows/ci.yml) runs exactly these targets — test and
 # verify-incremental on a Python 3.11/3.12/3.13 matrix, bench-smoke
-# (skipped on doc-only pushes), lint, coverage, a multi-core
-# shard-parity pass, a server smoke job (daemon suite, perfbench-test,
+# (skipped on doc-only pushes), lint, coverage, a server smoke job
+# (daemon suite, perfbench-test,
 # throughput smoke), an offline `pip install . --no-build-isolation
 # --no-index` job, and a scheduled/manual bench-compare gate — so the
 # workflow file is the canonical, always-exercised verify recipe.

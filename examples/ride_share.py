@@ -14,7 +14,6 @@ It also demonstrates the engine's **region scheduler**: the abstract
 own null namespace — and the per-shard timing report is printed.
 
 Run:  python examples/ride_share.py [--shards N]
-          [--executor serial|threads|processes]
 """
 
 import argparse
@@ -33,13 +32,6 @@ def main() -> None:
         type=int,
         default=3,
         help="regions are partitioned across this many shards (default 3)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=["serial", "threads", "processes"],
-        default="serial",
-        help="how the shards run (default serial; processes is the only "
-        "one that parallelizes CPU-bound chases)",
     )
     args = parser.parse_args()
 
@@ -72,8 +64,7 @@ def main() -> None:
             values = ", ".join(str(v) for v in row)
             print(f"    ({values})  during {support}")
 
-    print(f"\n=== Sharded abstract chase (--shards {args.shards}, "
-          f"--executor {args.executor}) ===")
+    print(f"\n=== Sharded abstract chase (--shards {args.shards}) ===")
     abstract = semantics(scenario.source)
     regions = abstract.regions()
     print(f"timeline has {len(regions)} constancy regions")
@@ -87,12 +78,7 @@ def main() -> None:
     serial_ms = (time.perf_counter() - started) * 1000
 
     started = time.perf_counter()
-    sharded = abstract_chase(
-        abstract,
-        scenario.setting,
-        shards=args.shards,
-        executor=args.executor,
-    )
+    sharded = abstract_chase(abstract, scenario.setting, shards=args.shards)
     sharded_ms = (time.perf_counter() - started) * 1000
     assert sharded.succeeded
 

@@ -18,12 +18,10 @@ region scheduler partitions the region list into contiguous blocks, runs
 each block with its own namespaced
 :class:`~repro.chase.nulls.NullFactory` (shard *i* issues ``Ns<i>_1,
 Ns<i>_2, …`` — collision-free across shards by construction), and merges
-the per-region results back in timeline order.  The executor is
-pluggable: ``"serial"`` (default) runs the shards in a loop,
-``"threads"`` uses a ``concurrent.futures`` thread pool, and any
-``Executor`` instance may be passed directly.  ``shards=1`` with the
-default factory is byte-identical to the historical sequential chase
-(one shared counter across all regions).
+the per-region results back in timeline order.  The blocks run one
+after another in a plain loop.  ``shards=1`` with the default factory is
+byte-identical to the historical sequential chase (one shared counter
+across all regions).
 
 Within each shard the regions are, by default, chased **incrementally**:
 adjacent region snapshots differ by few facts, so each region replays the
@@ -41,16 +39,9 @@ a failure on any snapshot means no solution exists.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.errors import ChaseFailureError, InstanceError, ShardExecutionError
 from repro.abstract_view.abstract_instance import AbstractInstance, TemplateFact
@@ -65,7 +56,6 @@ from repro.temporal.interval import Interval
 
 __all__ = [
     "AbstractChaseResult",
-    "ParentTimings",
     "RegionReuseStats",
     "ShardReport",
     "abstract_chase",
@@ -83,29 +73,6 @@ class ShardReport:
     # Aggregated cross-region reuse of the shard's incremental chain;
     # None when the from-scratch schedule ran (incremental=False).
     reuse: RegionReuseStats | None = None
-    # True when the shard executed in a worker process (the "processes"
-    # executor).  Recorded firing logs never cross the process boundary:
-    # the shard's incremental chain lives entirely inside its worker, so
-    # — exactly as for any sharded run — the chain's first region chases
-    # from scratch and `reuse` reports the in-worker replay totals.
-    remote: bool = False
-
-
-@dataclass(frozen=True, slots=True)
-class ParentTimings:
-    """The parent's serial wire share of one ``processes``-executor run.
-
-    Amdahl's bound for the pool: whatever the parent does serially —
-    encoding and publishing the shard tasks, decoding the outcomes,
-    merging — caps the speedup no matter how many workers chase.
-    *transport* records which wire path ran (``"shm"`` segments or the
-    ``"pickle"`` pipe fallback).
-    """
-
-    encode_seconds: float
-    decode_seconds: float
-    merge_seconds: float
-    transport: str
 
 
 @dataclass
@@ -121,9 +88,6 @@ class AbstractChaseResult:
     region_results: dict[Interval, SnapshotChaseResult] = field(default_factory=dict)
     region_reuse: dict[Interval, RegionReuseStats] = field(default_factory=dict)
     shard_reports: tuple[ShardReport, ...] = ()
-    # Set by the "processes" executor only: the parent's measured
-    # encode/decode/merge share of this run.
-    parent_timings: ParentTimings | None = None
 
     @property
     def succeeded(self) -> bool:
@@ -256,21 +220,12 @@ def _chase_regions(
 
 @dataclass
 class _BlockOutcome:
-    """One shard's finished block, as the merge consumes it.
-
-    *merged_templates* is the shard's pre-computed contribution to the
-    merged target (the per-region null re-annotation of :func:`_merge`,
-    applied to every successful region in block order).  Worker
-    processes compute it so the parent's merge is a concatenation
-    instead of a per-fact loop; in-process executors leave it ``None``
-    and the merge converts the region results itself.
-    """
+    """One shard's finished block, as the merge consumes it."""
 
     results: list[tuple[Interval, SnapshotChaseResult]]
     region_reuse: dict[Interval, RegionReuseStats]
     error: ShardExecutionError | None
     report: ShardReport
-    merged_templates: Sequence[TemplateFact] | None = None
 
 
 def _region_templates(
@@ -328,14 +283,8 @@ def _execute_block(
     engine: EngineMode,
     incremental: bool,
     shard: int,
-    remote: bool = False,
 ) -> _BlockOutcome:
-    """Chase one shard's region block and account for it.
-
-    The single execution path behind every executor: the serial loop and
-    the thread pool call it in-process, and :func:`_process_worker` calls
-    it inside a worker process (*remote* marks the report accordingly).
-    """
+    """Chase one shard's region block and account for it."""
     started = time.perf_counter()
     block_results, region_stats, error = _chase_regions(
         source,
@@ -358,285 +307,13 @@ def _execute_block(
         seconds=time.perf_counter() - started,
         nulls_issued=factory.issued,
         reuse=reuse,
-        remote=remote,
     )
-    merged: tuple[TemplateFact, ...] | None = None
-    if remote:
-        # Pre-merge in the worker: the parent then concatenates decoded
-        # templates instead of re-annotating every fact serially.
-        premerged: list[TemplateFact] = []
-        for region, result in block_results:
-            if result.failed:
-                break
-            premerged.extend(_region_templates(region, result))
-        merged = tuple(premerged)
     return _BlockOutcome(
         results=block_results,
         region_reuse=region_stats,
         error=error,
         report=report,
-        merged_templates=merged,
     )
-
-
-def _process_worker(payload: bytes) -> bytes:
-    """Chase one encoded shard task in a worker process.
-
-    Decodes the :mod:`repro.serialize.shard_codec` task, rebuilds the
-    shard's source slice and null factory, runs the block exactly as an
-    in-process shard would, and encodes the outcome — traces included —
-    for the parent.  ``REPRO_SHARD_CRASH=<shard>`` hard-kills the worker
-    before chasing; it exists so tests can exercise the worker-death
-    path deterministically.
-    """
-    from repro.serialize import shard_codec
-
-    task = shard_codec.decode_shard_task(payload)
-    crash = os.environ.get("REPRO_SHARD_CRASH")
-    if crash is not None and crash == str(task.shard):
-        os._exit(17)
-    source = AbstractInstance(task.templates)
-    factory = NullFactory(prefix=task.prefix)
-    factory.fast_forward(task.counter)
-    outcome = _execute_block(
-        source,
-        task.regions,
-        task.setting,
-        factory,
-        task.variant,  # type: ignore[arg-type]
-        task.engine,  # type: ignore[arg-type]
-        task.incremental,
-        task.shard,
-        remote=True,
-    )
-    assert outcome.merged_templates is not None
-    return shard_codec.encode_shard_outcome(
-        shard_codec.ShardOutcome(
-            results=tuple(outcome.results),
-            region_reuse=outcome.region_reuse,
-            error=outcome.error,
-            report=outcome.report,
-            merged_templates=outcome.merged_templates,
-        )
-    )
-
-
-def _process_worker_shm(task_name: str, outcome_name: str) -> str:
-    """Chase one shard whose task lives in a shared-memory segment.
-
-    The decode-free variant of :func:`_process_worker`: the future
-    carries only two segment *names*.  The worker maps the task segment
-    in place (nothing crosses the pool's pickle pipe), chases, and
-    publishes the encoded outcome under the parent-assigned name —
-    giving the registration away so the parent (which knows every name
-    it handed out) is the sole cleaner-upper.  Task-segment unlinking
-    stays with the parent: a worker killed at any point here leaks
-    nothing.
-    """
-    from repro.serialize import shard_codec, shm
-
-    segment = shm.attach(task_name)
-    try:
-        task = shard_codec.decode_shard_task(segment.buf)
-    finally:
-        segment.close()
-    crash = os.environ.get("REPRO_SHARD_CRASH")
-    if crash is not None and crash == str(task.shard):
-        os._exit(17)
-    source = AbstractInstance(task.templates)
-    factory = NullFactory(prefix=task.prefix)
-    factory.fast_forward(task.counter)
-    outcome = _execute_block(
-        source,
-        task.regions,
-        task.setting,
-        factory,
-        task.variant,  # type: ignore[arg-type]
-        task.engine,  # type: ignore[arg-type]
-        task.incremental,
-        task.shard,
-        remote=True,
-    )
-    assert outcome.merged_templates is not None
-    payload = shard_codec.encode_shard_outcome(
-        shard_codec.ShardOutcome(
-            results=tuple(outcome.results),
-            region_reuse=outcome.region_reuse,
-            error=outcome.error,
-            report=outcome.report,
-            merged_templates=outcome.merged_templates,
-        )
-    )
-    shm.write(outcome_name, payload)
-    shm.give_away(outcome_name)
-    return outcome_name
-
-
-def _run_blocks_in_processes(
-    source: AbstractInstance,
-    blocks: list[tuple[Interval, ...]],
-    factories: list[NullFactory],
-    setting: DataExchangeSetting,
-    variant: ChaseVariant,
-    engine: EngineMode,
-    incremental: bool,
-    workers: int | None,
-    pool: ProcessPoolExecutor | None,
-) -> tuple[list[_BlockOutcome], ParentTimings]:
-    """Ship every block to a worker process and gather the outcomes.
-
-    Each task carries only the templates overlapping its block's span
-    (block regions come from the canonical partition, so overlap is
-    exactly "contributes to some block snapshot").  Where the platform
-    supports it (see :func:`repro.serialize.shm.transport_enabled`),
-    tasks and outcomes travel through named shared-memory segments and
-    the pool's pickle pipe carries only segment names; otherwise the
-    payload bytes ride the pipe directly.  Either way the merged result
-    is byte-identical.  A worker that dies or raises before returning
-    yields an error outcome for its shard — a
-    :class:`ShardExecutionError` with the shard index and the executor's
-    exception chained — while every shard whose payload *did* come back
-    keeps its results and report, mirroring the in-process failure
-    contract.  On the shared-memory path the parent finally-sweeps every
-    segment name it assigned, so a crashed shard cannot leak
-    ``/dev/shm`` blocks.  One caveat: a single worker death breaks the
-    whole ``ProcessPoolExecutor`` (standard ``concurrent.futures``
-    semantics), so every still-pending shard's result is lost with it
-    and the merge reports the earliest such shard; which worker actually
-    died is not recoverable from ``BrokenProcessPool``, and a
-    caller-supplied pool is broken for the caller too and must be
-    recreated.
-    """
-    from repro.serialize import shard_codec
-    from repro.serialize import shm as shm_transport
-
-    use_shm = shm_transport.transport_enabled()
-    encode_started = time.perf_counter()
-    payloads: list[bytes] = []
-    for index, block in enumerate(blocks):
-        span = Interval(block[0].start, block[-1].end)
-        templates = tuple(
-            template
-            for template in source.templates
-            if template.interval.overlaps(span)
-        )
-        payloads.append(
-            shard_codec.encode_shard_task(
-                shard_codec.ShardTask(
-                    shard=index,
-                    prefix=factories[index].prefix,
-                    counter=factories[index].issued,
-                    variant=variant,
-                    engine=engine,
-                    incremental=incremental,
-                    regions=block,
-                    templates=templates,
-                    setting=setting,
-                )
-            )
-        )
-    task_names: list[str] = []
-    outcome_names: list[str] = []
-    if use_shm:
-        # Every segment name is fixed before any worker runs: cleanup
-        # after a worker death is a sweep over known names.
-        run = shm_transport.new_run_id()
-        for index, payload in enumerate(payloads):
-            name = shm_transport.segment_name(run, index, "t")
-            shm_transport.write(name, payload)
-            task_names.append(name)
-            outcome_names.append(shm_transport.segment_name(run, index, "o"))
-    encode_seconds = time.perf_counter() - encode_started
-
-    owned = pool is None
-    if owned:
-        limit = workers if workers is not None else os.cpu_count() or 1
-        pool = ProcessPoolExecutor(max_workers=min(limit, len(blocks)))
-    assert pool is not None
-    try:
-        if use_shm:
-            futures = [
-                pool.submit(_process_worker_shm, task, outcome)
-                for task, outcome in zip(task_names, outcome_names, strict=True)
-            ]
-        else:
-            futures = [
-                pool.submit(_process_worker, payload) for payload in payloads
-            ]
-        outcomes: list[_BlockOutcome] = []
-        decode_seconds = 0.0
-        for index, future in enumerate(futures):
-            try:
-                raw = future.result()
-            except Exception as exc:  # noqa: BLE001 — surfaced per shard
-                # A BrokenProcessPool names no culprit: ONE worker died
-                # and every still-pending future raises it, so for this
-                # shard we only know its result was lost with the pool.
-                if isinstance(exc, BrokenExecutor):
-                    stage = (
-                        "lost its result: the pool broke because a "
-                        "worker process died"
-                    )
-                else:
-                    stage = "worker process died before returning a result"
-                outcomes.append(
-                    _BlockOutcome(
-                        results=[],
-                        region_reuse={},
-                        error=ShardExecutionError(index, None, exc, stage=stage),
-                        report=ShardReport(
-                            shard=index,
-                            regions=0,
-                            seconds=0.0,
-                            nulls_issued=0,
-                            reuse=None,
-                            remote=True,
-                        ),
-                        merged_templates=(),
-                    )
-                )
-                continue
-            decode_started = time.perf_counter()
-            if use_shm:
-                # The worker returned its outcome segment's name; the
-                # decoder copies the flat sections out of the mapping,
-                # so the segment is released again before decode returns.
-                segment = shm_transport.attach(raw)
-                try:
-                    outcome = shard_codec.decode_shard_outcome(segment.buf)
-                finally:
-                    segment.close()
-                    shm_transport.unlink(raw)
-            else:
-                outcome = shard_codec.decode_shard_outcome(raw)
-            # Replay the worker's issuance count onto the parent-side
-            # factory so a shared base factory (shards=1) stays globally
-            # distinct across runs.
-            factories[index].fast_forward(outcome.report.nulls_issued)
-            outcomes.append(
-                _BlockOutcome(
-                    results=list(outcome.results),
-                    region_reuse=outcome.region_reuse,
-                    error=outcome.error,
-                    report=outcome.report,
-                    merged_templates=outcome.merged_templates,
-                )
-            )
-            decode_seconds += time.perf_counter() - decode_started
-        timings = ParentTimings(
-            encode_seconds=encode_seconds,
-            decode_seconds=decode_seconds,
-            merge_seconds=0.0,
-            transport="shm" if use_shm else "pickle",
-        )
-        return outcomes, timings
-    finally:
-        for name in task_names:
-            shm_transport.unlink(name)
-        for name in outcome_names:
-            shm_transport.unlink(name)
-        if owned:
-            pool.shutdown()
 
 
 def abstract_chase(
@@ -646,9 +323,7 @@ def abstract_chase(
     variant: ChaseVariant = "standard",
     engine: EngineMode = "delta",
     shards: int = 1,
-    executor: str | Executor = "serial",
     incremental: bool = True,
-    workers: int | None = None,
 ) -> AbstractChaseResult:
     """``chase(Ia, M)`` on the finite representation.
 
@@ -660,25 +335,12 @@ def abstract_chase(
     sequential implementation.  With ``shards > 1`` the regions are
     partitioned into contiguous blocks, each block chases under its own
     namespaced factory (``Ns<i>_…``, see
-    :meth:`NullFactory.for_shard`), and the per-region results merge
-    deterministically in timeline order; *executor* selects how blocks
-    run (``"serial"``, ``"threads"``, ``"processes"``, or a
-    ``concurrent.futures`` executor instance).  Fresh-null *names* then
-    differ from the unsharded run, but the result is the same solution
-    up to that renaming.
-
-    ``"processes"`` is the only executor that runs CPU-bound shards in
-    *parallel* (threads serialize on the GIL): each block ships to a
-    worker process as a compact :mod:`repro.serialize.shard_codec`
-    payload — the block's source slice, the exchange setting, and the
-    shard's null-factory position — and the finished region results,
-    traces and reports ship back the same way, so the merged output is
-    byte-identical to the same sharded run on any other executor.
-    *workers* bounds the pool size (default: one worker per block,
-    capped at the CPU count; it also caps the ``"threads"`` pool).
-    Passing a ``ProcessPoolExecutor`` instance reuses your warm pool
-    through the same wire path.  A worker that dies mid-block surfaces
-    as a :class:`ShardExecutionError` carrying the shard index.
+    :meth:`NullFactory.for_shard`), the blocks run one after another,
+    and the per-region results merge deterministically in timeline
+    order.  Fresh-null *names* then differ from the unsharded run, but
+    the result is the same solution up to that renaming.  An exception
+    raised while chasing a region surfaces as a
+    :class:`ShardExecutionError` carrying the shard index and region.
 
     *incremental* (default on) makes each shard's chain of regions reuse
     the previous region's recorded chase wherever the snapshot diff
@@ -692,8 +354,6 @@ def abstract_chase(
         )
     if shards < 1:
         raise InstanceError(f"shards must be >= 1, got {shards}")
-    if workers is not None and workers < 1:
-        raise InstanceError(f"workers must be >= 1, got {workers}")
     regions = source.regions()
     base_factory = null_factory if null_factory is not None else NullFactory()
 
@@ -708,55 +368,23 @@ def abstract_chase(
             for index in range(len(blocks))
         ]
 
-    def run_block(index: int) -> _BlockOutcome:
-        return _execute_block(
-            source,
-            blocks[index],
-            setting,
-            factories[index],
-            variant,
-            engine,
-            incremental,
-            index,
-        )
-
-    indices = range(len(blocks))
-    timings: ParentTimings | None = None
-    if executor == "processes" or isinstance(executor, ProcessPoolExecutor):
-        outcomes, timings = _run_blocks_in_processes(
-            source,
-            blocks,
-            factories,
-            setting,
-            variant,
-            engine,
-            incremental,
-            workers,
-            executor if isinstance(executor, ProcessPoolExecutor) else None,
-        )
-    elif isinstance(executor, Executor):
-        outcomes = list(executor.map(run_block, indices))
-    elif executor == "serial":
-        outcomes = [run_block(index) for index in indices]
-    elif executor == "threads":
-        limit = workers if workers is not None else len(blocks)
-        with ThreadPoolExecutor(
-            max_workers=max(1, min(limit, len(blocks)))
-        ) as pool:
-            outcomes = list(pool.map(run_block, indices))
-    else:
-        raise InstanceError(
-            f"unknown executor {executor!r}: use 'serial', 'threads', "
-            "'processes', or a concurrent.futures.Executor"
-        )
-
-    merge_started = time.perf_counter()
-    result = _merge(outcomes)
-    if timings is not None:
-        result.parent_timings = replace(
-            timings, merge_seconds=time.perf_counter() - merge_started
-        )
-    return result
+    return _merge(
+        [
+            _execute_block(
+                source,
+                block,
+                setting,
+                factory,
+                variant,
+                engine,
+                incremental,
+                index,
+            )
+            for index, (block, factory) in enumerate(
+                zip(blocks, factories, strict=True)
+            )
+        ]
+    )
 
 
 def _merge(outcomes: list[_BlockOutcome]) -> AbstractChaseResult:
@@ -767,15 +395,11 @@ def _merge(outcomes: list[_BlockOutcome]) -> AbstractChaseResult:
     encountered is the globally first one; regions a failing shard
     skipped lie strictly after it and are simply absent, exactly as in
     the sequential early-exit.  Every shard's report is retained either
-    way.  Blocks that crossed the process boundary arrive with their
-    template contribution pre-merged in the worker; in-process blocks
-    convert their region results here.
+    way.
     """
     reports = tuple(outcome.report for outcome in outcomes)
-    # Pieces, not facts: each shard's contribution stays an opaque
-    # iterable (a wire-mapped section for remote blocks, a lazy
-    # per-region view for in-process ones) until someone reads the
-    # merged instance's template set.
+    # Pieces, not facts: each region's contribution stays a lazy view
+    # until someone reads the merged instance's template set.
     pieces: list[Iterable[TemplateFact]] = []
     region_results: dict[Interval, SnapshotChaseResult] = {}
     region_reuse: dict[Interval, RegionReuseStats] = {}
@@ -788,13 +412,10 @@ def _merge(outcomes: list[_BlockOutcome]) -> AbstractChaseResult:
                 # _chase_regions stops at the block's first failure, so
                 # nothing follows this region in the results list.
                 failed = (region, result)
-        if outcome.merged_templates is not None:
-            pieces.append(outcome.merged_templates)
-        else:
-            for region, result in outcome.results:
-                if result.failed:
-                    break
-                pieces.append(_LazyRegionTemplates(region, result))
+        for region, result in outcome.results:
+            if result.failed:
+                break
+            pieces.append(_LazyRegionTemplates(region, result))
         if failed is not None:
             region, result = failed
             return AbstractChaseResult(

@@ -174,10 +174,10 @@ class AbstractInstance:
         """Build an instance whose template set materializes on first use.
 
         *pieces* are iterated (once, lazily) and unioned when any
-        structural operation first needs the set.  The parallel
-        scheduler hands wire-mapped shard sections here so a caller
-        that only serializes or samples the result never pays for
-        decoding every merged template.
+        structural operation first needs the set.  The region
+        scheduler hands lazy per-region views here so a caller that
+        never reads the merged template set never pays for building
+        it.
         """
         found = cls.__new__(cls)
         found._templates_source = pieces

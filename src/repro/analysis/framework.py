@@ -216,21 +216,6 @@ class ModuleContext:
         )
 
     # -- navigation -----------------------------------------------------
-    def parent_chain(self, node: ast.AST) -> Iterator[ast.AST]:
-        """Ancestors of *node*, innermost first."""
-        current = self.parents.get(node)
-        while current is not None:
-            yield current
-            current = self.parents.get(current)
-
-    def enclosing_function(
-        self, node: ast.AST
-    ) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-        for ancestor in self.parent_chain(node):
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return ancestor
-        return None
-
     def iter_functions(
         self,
     ) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:

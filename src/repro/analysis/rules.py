@@ -1,4 +1,4 @@
-"""The initial rule set: six repo-specific invariant checks.
+"""The rule set: five repo-specific invariant checks.
 
 Each rule encodes a bug class this repository has actually hit (or
 defended against by convention only); the architecture notes
@@ -11,8 +11,6 @@ defended against by convention only); the architecture notes
   constructors may only be called from the engine-module allowlist.
 * ``TDX003`` — ordered-output discipline: functions marked
   ``# repro: ordered-output`` must not iterate sets in hash order.
-* ``TDX004`` — shared-memory lifecycle: every created segment reaches
-  ``close()`` on all paths and has exactly one ``unlink()`` owner.
 * ``TDX005`` — no salted hashes in persisted artifacts or replay
   signatures.
 * ``TDX006`` — no wall-clock / RNG in deterministic core modules.
@@ -29,7 +27,6 @@ __all__ = [
     "PicklePurityRule",
     "TrustedConstructorRule",
     "OrderedOutputRule",
-    "SharedMemoryLifecycleRule",
     "PersistedHashRule",
     "DeterministicCoreRule",
     "TRUSTED_CALLER_ALLOWLIST",
@@ -231,7 +228,7 @@ _TRUSTED_MAKE_OWNERS = {"Fact", "ConcreteFact", "Interval", "TemplateFact"}
 
 #: Engine modules entitled to skip validation: they construct from
 #: values whose invariants hold *by construction* (match bindings,
-#: sweep-vetted cut points, wire-decoded canonical data).  Everything
+#: sweep-vetted cut points, already-canonical data).  Everything
 #: else goes through the validating constructors.
 TRUSTED_CALLER_ALLOWLIST = frozenset(
     {
@@ -246,7 +243,6 @@ TRUSTED_CALLER_ALLOWLIST = frozenset(
         "repro.chase.incremental",
         "repro.query.answers",
         "repro.query.eval",
-        "repro.serialize.shard_codec",
         "repro.abstract_view.abstract_instance",
         "repro.abstract_view.abstract_chase",
     }
@@ -405,216 +401,16 @@ class OrderedOutputRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# TDX004 — shared-memory lifecycle
-# ---------------------------------------------------------------------------
-
-
-@register
-class SharedMemoryLifecycleRule(Rule):
-    """Created segments must be closed and owned by exactly one unlink.
-
-    A ``SharedMemory(create=True)`` that misses ``close()`` on an error
-    path leaks a mapping; one that never reaches ``unlink()`` leaves a
-    ``/dev/shm`` block behind after the process exits (the PR 7 leak
-    class).  Within the creating function this rule requires a
-    ``close()`` reached on every control-flow path (``finally`` or an
-    unconditional statement) and at least one ``unlink()`` — a function
-    that hands ownership to another process (or calls ``give_away``)
-    documents that with a suppression naming the owner.
-    """
-
-    code = "TDX004"
-    name = "shared-memory-lifecycle"
-    summary = "SharedMemory(create=True) must reach close() and one unlink() owner"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for func in ctx.iter_functions():
-            yield from self._check_function(ctx, func)
-
-    def _check_function(
-        self, ctx: ModuleContext, func: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> Iterator[Finding]:
-        creations: list[tuple[str | None, ast.AST]] = []
-        for node in ast.walk(func):
-            if ctx.enclosing_function(node) is not func and node is not func:
-                continue
-            if isinstance(node, ast.Call) and self._is_create_call(node):
-                parent = ctx.parents.get(node)
-                if (
-                    isinstance(parent, ast.Assign)
-                    and len(parent.targets) == 1
-                    and isinstance(parent.targets[0], ast.Name)
-                ):
-                    creations.append((parent.targets[0].id, parent))
-                else:
-                    creations.append((None, node))
-        if not creations:
-            return
-        hands_off = any(
-            isinstance(node, ast.Call) and _call_func_name(node) == "give_away"
-            for node in ast.walk(func)
-        )
-        for name, creation in creations:
-            if name is None:
-                yield ctx.finding(
-                    creation,
-                    self.code,
-                    "SharedMemory(create=True) result is not bound to a name; "
-                    "the segment can never be close()d or unlink()ed",
-                )
-                continue
-            closes = self._method_calls(ctx, func, name, "close")
-            unlinks = self._method_calls(ctx, func, name, "unlink")
-            creation_frames = self._frames(ctx, creation, func)
-            if not closes:
-                yield ctx.finding(
-                    creation,
-                    self.code,
-                    f"shared-memory segment {name!r} is created but never "
-                    "close()d in this function; unmap it on every path "
-                    "(finally block)",
-                )
-            elif not any(
-                self._always_runs(creation_frames, self._frames(ctx, node, func))
-                for node in closes
-            ):
-                yield ctx.finding(
-                    creation,
-                    self.code,
-                    f"close() of shared-memory segment {name!r} is not reached "
-                    "on all control-flow paths; move it into a finally block",
-                )
-            if not unlinks and not hands_off:
-                yield ctx.finding(
-                    creation,
-                    self.code,
-                    f"shared-memory segment {name!r} has no unlink() owner in "
-                    "this function; unlink it here, give_away() to a "
-                    "documented owner, or suppress naming who unlinks",
-                )
-            elif (
-                len(unlinks) > 1
-                and sum(
-                    self._always_runs(
-                        creation_frames, self._frames(ctx, node, func)
-                    )
-                    for node in unlinks
-                )
-                > 1
-            ):
-                yield ctx.finding(
-                    creation,
-                    self.code,
-                    f"shared-memory segment {name!r} is unlink()ed more than "
-                    "once on the same path; exactly one owner may unlink",
-                )
-
-    @staticmethod
-    def _is_create_call(node: ast.Call) -> bool:
-        func = node.func
-        named = (
-            isinstance(func, ast.Name)
-            and func.id == "SharedMemory"
-            or isinstance(func, ast.Attribute)
-            and func.attr == "SharedMemory"
-        )
-        if not named:
-            return False
-        return any(
-            keyword.arg == "create"
-            and isinstance(keyword.value, ast.Constant)
-            and keyword.value.value is True
-            for keyword in node.keywords
-        )
-
-    @staticmethod
-    def _method_calls(
-        ctx: ModuleContext, func: ast.AST, name: str, method: str
-    ) -> list[ast.Call]:
-        calls = []
-        for node in ast.walk(func):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == method
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == name
-            ):
-                calls.append(node)
-        return calls
-
-    @staticmethod
-    def _frames(
-        ctx: ModuleContext, node: ast.AST, stop: ast.AST
-    ) -> list[tuple[int, str]]:
-        """Conditional frames between *stop* and *node*, outermost first.
-
-        Each frame is ``(id(container), role)``; ``finally`` and ``with``
-        roles always execute, everything else is conditional.
-        """
-        chain: list[tuple[int, str]] = []
-        current = node
-        for ancestor in ctx.parent_chain(node):
-            role = None
-            if isinstance(ancestor, ast.Try):
-                if current in ancestor.finalbody:
-                    role = "finally"
-                elif current in ancestor.handlers or any(
-                    current is h for h in ancestor.handlers
-                ):
-                    role = "except"
-                else:
-                    role = "try"
-            elif isinstance(ancestor, ast.ExceptHandler):
-                role = "except"
-            elif isinstance(ancestor, ast.If):
-                role = "if"
-            elif isinstance(ancestor, (ast.For, ast.AsyncFor, ast.While)):
-                role = "loop"
-            elif isinstance(ancestor, (ast.With, ast.AsyncWith)):
-                role = "with"
-            elif isinstance(
-                ancestor, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                role = "closure"
-            if role is not None:
-                chain.append((id(ancestor), role))
-            current = ancestor
-            if ancestor is stop:
-                break
-        chain.reverse()
-        return chain
-
-    @staticmethod
-    def _always_runs(
-        creation_frames: list[tuple[int, str]], frames: list[tuple[int, str]]
-    ) -> bool:
-        """Whether a statement executes whenever the creation did.
-
-        Strip the frames shared with the creation; what remains must be
-        unconditional (``finally``/``with`` only).
-        """
-        shared = 0
-        for left, right in zip(creation_frames, frames, strict=False):
-            if left != right:
-                break
-            shared += 1
-        return all(role in ("finally", "with") for _, role in frames[shared:])
-
-
-# ---------------------------------------------------------------------------
 # TDX005 — no salted hashes in persisted artifacts
 # ---------------------------------------------------------------------------
 
 #: Modules whose output is persisted or crosses process boundaries.
 _PERSIST_MODULES = frozenset(
     {
-        "repro.serialize.shard_codec",
         "repro.serialize.digest",
         "repro.serialize.jsonio",
         "repro.serialize.csvio",
         "repro.serialize.render",
-        "repro.serialize.shm",
     }
 )
 _SIGNATURE_SINKS = {"record", "recall"}
@@ -623,19 +419,19 @@ _SIGNATURE_NAME_HINTS = ("signature", "digest")
 
 @register
 class PersistedHashRule(Rule):
-    """``hash()`` never flows into wire payloads or replay signatures.
+    """``hash()`` never flows into persisted output or replay signatures.
 
     Python hashes are salted per process (PYTHONHASHSEED); a hash value
-    inside a shard-codec payload or a ``ReplayLedger`` signature
-    compares unequal on replay in another process, silently turning
-    every replay into a cache miss (or worse, a false match under a
-    fixed seed).  Use ``term_sort_key``/``sort_key()`` or a stable
+    inside a content digest, a JSON/CSV encoding or a ``ReplayLedger``
+    signature compares unequal on replay in another process, silently
+    turning every replay into a cache miss (or worse, a false match
+    under a fixed seed).  Use ``term_sort_key``/``sort_key()`` or a stable
     digest (``hashlib``) instead.
     """
 
     code = "TDX005"
     name = "no-salted-hash-persisted"
-    summary = "hash() must not reach shard payloads or ReplayLedger signatures"
+    summary = "hash() must not reach persisted output or ReplayLedger signatures"
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         if ctx.module in _PERSIST_MODULES:

@@ -386,7 +386,7 @@ class _ReplaySnapshotResult(SnapshotChaseResult):
     recorded log and the null counter at region start.  This view holds
     exactly those two things; the target instance and the renamed trace
     are built on first access, so a caller that never reads them (the
-    deferred merge of the parallel scheduler, coverage accounting) skips
+    deferred merge of the region scheduler, coverage accounting) skips
     the region's target build and null renaming entirely.
 
     Mutation goes through the ``target``/``trace`` setters, which

@@ -123,28 +123,13 @@ class NullFactory:
         """
         return NullFactory(prefix=self.prefix, _counter=state)
 
-    def fast_forward(self, issued: int) -> None:
-        """Adopt a counter position ≥ the current one.
-
-        The process executor reconstructs shard factories in worker
-        processes from ``(prefix, counter)`` and, once a worker's report
-        comes back, replays its final issuance count onto the parent's
-        factory — so a *shared* base factory (``shards=1``) keeps names
-        globally distinct across subsequent runs exactly as if the block
-        had chased in-process.  Positions behind the counter are ignored
-        (never rewinds; that is :meth:`restore`'s job).
-        """
-        if issued > self._counter:
-            self._counter = issued
-
     # -- pickling --------------------------------------------------------------
     def __getstate__(self):
         """Explicit state: prefix and counters, nothing else.
 
-        Factories cross the process boundary when shard tasks ship; a
-        restored factory must issue exactly the names the original would
-        (the null-name transcript is part of the byte-identical output
-        contract).
+        A restored factory must issue exactly the names the original
+        would (the null-name transcript is part of the byte-identical
+        output contract).
         """
         return (self.prefix, self._counter, self._generations)
 

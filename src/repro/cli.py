@@ -150,9 +150,7 @@ def _cmd_chase(args: argparse.Namespace) -> int:
             variant=args.variant,
             engine=args.engine,
             shards=args.shards,
-            executor=args.executor,
             incremental=args.incremental != "off",
-            workers=args.workers,
         )
         if args.shards > 1:
             _print_shard_reports(abstract_result)
@@ -175,16 +173,11 @@ def _cmd_chase(args: argparse.Namespace) -> int:
             )
             print(f"-- {steps} chase steps across regions --", file=sys.stderr)
         return 0
-    for flag, given in (
-        ("--shards", args.shards != 1),
-        ("--executor", args.executor != "serial"),
-        ("--workers", args.workers is not None),
-    ):
-        if given:
-            raise SystemExit(
-                f"error: {flag} configures the abstract chase's region "
-                "scheduler; add --via abstract to use it"
-            )
+    if args.shards != 1:
+        raise SystemExit(
+            "error: --shards configures the abstract chase's region "
+            "scheduler; add --via abstract to use it"
+        )
     # For the concrete c-chase, --incremental gates the fragment-level
     # normalization replay chained through --norm-log (on the abstract
     # path it selects the cross-region replay instead).  An explicit
@@ -309,9 +302,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         setting,
         engine=args.engine,
         shards=args.shards,
-        executor=args.executor,
         incremental=args.incremental != "off",
-        workers=args.workers,
         cchase_incremental=cchase_incremental,
     )
     if use_norm_log:
@@ -388,7 +379,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     serve(
         host=args.host,
         port=args.port,
-        workers=args.workers,
         snapshot_dir=args.snapshot_dir,
         cache_entries=args.cache_entries,
     )
@@ -609,21 +599,6 @@ def _add_scheduler_flags(command: argparse.ArgumentParser) -> None:
         "(per-shard null namespaces; prints per-shard timing)",
     )
     command.add_argument(
-        "--executor",
-        choices=["serial", "threads", "processes"],
-        default="serial",
-        help="how sharded region blocks run: one at a time (default), a "
-        "thread pool (GIL-bound), or a process pool (true parallelism; "
-        "shards travel in the shard-codec wire format)",
-    )
-    command.add_argument(
-        "--workers",
-        type=_shard_count,
-        default=None,
-        help="pool size for --executor threads/processes "
-        "(default: one per shard, processes capped at the CPU count)",
-    )
-    command.add_argument(
         "--incremental",
         choices=["on", "off"],
         default=None,
@@ -677,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="concrete",
         help="chase procedure: the c-chase on the concrete instance "
         "(default) or the abstract chase over region snapshots "
-        "(prints snapshot tables; honors --shards/--executor/--incremental)",
+        "(prints snapshot tables; honors --shards/--incremental)",
     )
     _add_scheduler_flags(chase)
     _add_join_flag(chase)
@@ -749,13 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     server.add_argument("--host", default="127.0.0.1", help="bind address")
     server.add_argument("--port", type=int, default=8765, help="listen port")
-    server.add_argument(
-        "--workers",
-        type=_shard_count,
-        default=None,
-        help="process-pool size for sharded abstract chases "
-        "(default: one per shard, capped at the CPU count)",
-    )
     server.add_argument(
         "--snapshot-dir",
         metavar="DIR",

@@ -74,9 +74,7 @@ def verify_correspondence(
     normalization: str = "conjunction",
     engine: str = "delta",
     shards: int = 1,
-    executor: str = "serial",
     incremental: bool = True,
-    workers: int | None = None,
     cchase_incremental=None,
 ) -> CorrespondenceReport:
     """Run both chases on one source and check Corollary 20.
@@ -88,7 +86,7 @@ def verify_correspondence(
 
     *engine* selects the chase engine mode for both procedures
     (``"delta"`` semi-naive rounds or ``"rescan"``);
-    *shards*/*executor*/*incremental* configure the abstract chase's
+    *shards*/*incremental* configure the abstract chase's
     region scheduler.  The correspondence is renaming-invariant, so
     sharded null namespaces do not affect the verdict, and the
     incremental schedule is byte-identical anyway.
@@ -111,9 +109,7 @@ def verify_correspondence(
         setting,
         engine=engine,  # type: ignore[arg-type]
         shards=shards,
-        executor=executor,
         incremental=incremental,
-        workers=workers,
     )
     if abstract_result.error is not None:
         # A shard *raised* (as opposed to the chase failing): that is not

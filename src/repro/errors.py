@@ -60,54 +60,20 @@ class ChaseFailureError(ReproError):
         super().__init__(detail)
 
 
-class RemoteShardError(ReproError):
-    """An exception raised inside a worker process of the ``processes``
-    executor, carried across the process boundary as *(type name,
-    message)* — the original exception object cannot be shipped
-    faithfully, so this stand-in becomes the ``__cause__`` of the
-    :class:`ShardExecutionError` the parent raises."""
-
-    def __init__(self, exc_type: str, message: str):
-        self.exc_type = exc_type
-        self.message = message
-        super().__init__(f"{exc_type}: {message}")
-
-    def __reduce__(self):
-        return (type(self), (self.exc_type, self.message))
-
-
 class ShardExecutionError(ReproError):
     """A region chase raised inside the abstract chase's region scheduler.
 
     Distinct from :class:`ChaseFailureError` (which is a *result* of the
     chase — no solution exists): this wraps an unexpected exception so
-    the failing shard index and region interval are surfaced instead of
-    the executor's bare first exception.  The original exception is
-    chained as ``__cause__``; exceptions that crossed a process boundary
-    arrive as :class:`RemoteShardError` stand-ins.  *stage* overrides
-    the context phrase for failures outside any region chase — the
-    process executor uses it when a worker dies before returning a
-    result.
+    the failing shard index and region interval are surfaced alongside
+    it.  The original exception is chained as ``__cause__``.
     """
 
-    def __init__(
-        self,
-        shard: int,
-        region,
-        cause: BaseException,
-        stage: str | None = None,
-    ):
+    def __init__(self, shard: int, region, cause: BaseException):
         self.shard = shard
         self.region = region
-        self.stage = stage
-        summary = (
-            str(cause)
-            if isinstance(cause, RemoteShardError)
-            else f"{type(cause).__name__}: {cause}"
-        )
-        if stage is not None:
-            detail = f"shard {shard} {stage}: {summary}"
-        elif region is not None:
+        summary = f"{type(cause).__name__}: {cause}"
+        if region is not None:
             detail = (
                 f"region chase raised in shard {shard}, "
                 f"snapshots {region}: {summary}"
@@ -119,19 +85,6 @@ class ShardExecutionError(ReproError):
             )
         super().__init__(detail)
         self.__cause__ = cause
-
-    def __reduce__(self):
-        # Exception.__reduce__ would replay our message string as the
-        # shard argument; rebuild from the real fields instead, demoting
-        # an unpicklable cause to its RemoteShardError stand-in.
-        import pickle
-
-        cause = self.__cause__
-        try:
-            pickle.dumps(cause)
-        except Exception:
-            cause = RemoteShardError(type(cause).__name__, str(cause))
-        return (type(self), (self.shard, self.region, cause, self.stage))
 
 
 class NotNormalizedError(ReproError):

@@ -22,7 +22,7 @@ versions are a 400 before any routing happens.
 Endpoints (full reference with examples in ``docs/server.md``)::
 
     GET    /healthz                      liveness + session count
-    GET    /stats                        cache/pool/session statistics
+    GET    /stats                        cache/session statistics
     GET    /sessions                     list sessions
     POST   /sessions                     create {name, setting, source[, replace]}
     GET    /sessions/{name}              session info
@@ -32,7 +32,7 @@ Endpoints (full reference with examples in ``docs/server.md``)::
     POST   /sessions/{name}/delta        {delta: {add, remove}} → target diff
     POST   /sessions/{name}/events       {events: [...][, mapping]} → ingest + diff
     POST   /sessions/{name}/query        {query[, engine]} → certain answers
-    POST   /sessions/{name}/abstract     {shards[, executor]} → sharded abstract chase
+    POST   /sessions/{name}/abstract     {shards[, incremental]} → sharded abstract chase
     POST   /sessions/{name}/snapshot     persist to the spool directory
     POST   /sessions/{name}/load         rebuild from the spool directory
 """
@@ -49,7 +49,9 @@ from repro.errors import ReproError
 from repro.server.protocol import (
     ProtocolError,
     delta_from_payload,
+    require_bool,
     require_list,
+    require_positive_int,
     require_str,
     unwrap_envelope,
 )
@@ -63,12 +65,17 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 #: line (bytes, terminator included), with a 400.
 MAX_HEADERS = 100
 MAX_HEADER_LINE = 8192
+#: Seconds a started request may take to deliver its head, and then its
+#: body; a client that stalls past either gets a 408 and a closed
+#: connection instead of holding a task forever.
+REQUEST_READ_TIMEOUT = 30.0
 
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     413: "Payload Too Large",
     500: "Internal Server Error",
@@ -128,13 +135,11 @@ class ReproServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        workers: int | None = None,
         snapshot_dir=None,
         cache_entries: int = 64,
     ):
         self.manager = manager or SessionManager(
             cache_entries=cache_entries,
-            workers=workers,
             snapshot_dir=snapshot_dir,
         )
         self.host = host
@@ -166,7 +171,6 @@ class ReproServer:
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
         self._connections.clear()
-        self.manager.close()
 
     # -- connection handling ----------------------------------------------
 
@@ -194,6 +198,11 @@ class ReproServer:
     async def _handle_one(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> bool:
+        # The wait for the next request line has no timeout: an idle
+        # keep-alive connection costs one parked task and no work, and
+        # ServerClient holds one connection across calls.  It retries a
+        # POST at most once, and only on a reused socket; closing idle
+        # sockets would put every POST after a pause on that retry path.
         try:
             request_line = await reader.readline()
         except ValueError:  # over the stream's own line buffer
@@ -208,7 +217,13 @@ class ReproServer:
         except (UnicodeDecodeError, ValueError):
             await self._respond(writer, 400, {"error": "malformed request line"})
             return False
-        headers, error = await _read_headers(reader)
+        try:
+            headers, error = await asyncio.wait_for(
+                _read_headers(reader), REQUEST_READ_TIMEOUT
+            )
+        except asyncio.TimeoutError:
+            await self._respond(writer, 408, {"error": "request head timed out"})
+            return False
         if error is not None:
             await self._respond(writer, 400, {"error": error})
             return False
@@ -223,7 +238,15 @@ class ReproServer:
                 writer, 413, {"error": f"request body over {MAX_BODY_BYTES} bytes"}
             )
             return False
-        body = await reader.readexactly(length) if length else b""
+        body = b""
+        if length:
+            try:
+                body = await asyncio.wait_for(
+                    reader.readexactly(length), REQUEST_READ_TIMEOUT
+                )
+            except asyncio.TimeoutError:
+                await self._respond(writer, 408, {"error": "request body timed out"})
+                return False
         payload: dict = {}
         if body:
             try:
@@ -303,7 +326,7 @@ class ReproServer:
                     "name": payload.get("name", ""),
                     "setting_json": payload["setting"],
                     "source_json": payload["source"],
-                    "replace": bool(payload.get("replace", False)),
+                    "replace": require_bool(payload, "replace", False),
                 }
             raise ProtocolError("use GET or POST on /sessions", status=405)
         match = _SESSION_PATH.match(path)
@@ -352,9 +375,8 @@ class ReproServer:
         if rest == "abstract":
             return manager.abstract, {
                 "name": name,
-                "shards": payload.get("shards", 1),
-                "executor": payload.get("executor", "serial"),
-                "incremental": bool(payload.get("incremental", True)),
+                "shards": require_positive_int(payload, "shards", 1),
+                "incremental": require_bool(payload, "incremental", True),
             }
         if rest == "snapshot":
             return manager.snapshot, {"name": name}
@@ -371,7 +393,6 @@ class ReproServer:
 def serve(
     host: str = "127.0.0.1",
     port: int = 8765,
-    workers: int | None = None,
     snapshot_dir=None,
     cache_entries: int = 64,
 ) -> None:
@@ -381,7 +402,6 @@ def serve(
         server = ReproServer(
             host=host,
             port=port,
-            workers=workers,
             snapshot_dir=snapshot_dir,
             cache_entries=cache_entries,
         )
@@ -408,7 +428,7 @@ class ServerThread:
             ...
 
     The thread owns its own event loop; ``__exit__`` stops the loop,
-    joins the thread, and shuts the manager (worker pool included).
+    joins the thread, and closes the listener.
     """
 
     def __init__(self, **kwargs):

@@ -174,12 +174,11 @@ class ServerClient:
         self,
         name: str,
         shards: int = 1,
-        executor: str = "serial",
         incremental: bool = True,
     ) -> dict:
         return self.post(
             f"/sessions/{name}/abstract",
-            {"shards": shards, "executor": executor, "incremental": incremental},
+            {"shards": shards, "incremental": incremental},
         )
 
     def snapshot(self, name: str) -> dict:

@@ -41,7 +41,9 @@ __all__ = [
     "delta_from_payload",
     "diff_to_json",
     "facts_from_json",
+    "require_bool",
     "require_list",
+    "require_positive_int",
     "require_str",
     "unwrap_envelope",
 ]
@@ -76,6 +78,24 @@ def require_str(payload: dict, key: str, default: str | None = None) -> str:
     value = payload.get(key, default)
     if not isinstance(value, str) or not value:
         raise ProtocolError(f"request field {key!r} must be a non-empty string")
+    return value
+
+
+def require_bool(payload: dict, key: str, default: bool) -> bool:
+    """A JSON boolean field; strings such as ``"false"`` are refused."""
+    value = payload.get(key, default)
+    if not isinstance(value, bool):
+        raise ProtocolError(f"request field {key!r} must be a boolean, got {value!r}")
+    return value
+
+
+def require_positive_int(payload: dict, key: str, default: int) -> int:
+    """A JSON integer field ≥ 1; booleans and floats are refused."""
+    value = payload.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ProtocolError(
+            f"request field {key!r} must be an integer >= 1, got {value!r}"
+        )
     return value
 
 

@@ -149,45 +149,17 @@ def _answers_to_json(answers) -> list[dict[str, Any]]:
 
 
 class SessionManager:
-    """The daemon's resident state: sessions, cache, warm worker pool."""
+    """The daemon's resident state: sessions and the chase cache."""
 
     def __init__(
         self,
         cache_entries: int = 64,
-        workers: int | None = None,
         snapshot_dir: "str | Path | None" = None,
     ):
         self.cache = ChaseCache(max_entries=cache_entries)
-        self.workers = workers
         self.snapshot_dir = Path(snapshot_dir) if snapshot_dir else None
         self._sessions: dict[str, Session] = {}
         self._lock = threading.Lock()
-        self._pool = None
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self) -> None:
-        """Release the worker pool (sessions die with the process)."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown()
-
-    def pool(self):
-        """The shared warm ``ProcessPoolExecutor``, created on first use.
-
-        Per-daemon rather than per-request on purpose: process startup
-        and module import dominate small sharded chases, so the whole
-        point of a resident server is that every request after the
-        first finds the workers already up (PR 4's warm-pool detection
-        reuses the shard-codec wire path for user-supplied pools).
-        """
-        with self._lock:
-            if self._pool is None:
-                from concurrent.futures import ProcessPoolExecutor
-
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            return self._pool
 
     # -- session map -------------------------------------------------------
 
@@ -211,8 +183,6 @@ class SessionManager:
         return {
             "sessions": self.names(),
             "cache": self.cache.stats(),
-            "workers": self.workers,
-            "pool_started": self._pool is not None,
         }
 
     # -- the chase front door ---------------------------------------------
@@ -482,29 +452,17 @@ class SessionManager:
         self,
         name: str,
         shards: int = 1,
-        executor: str = "serial",
         incremental: bool = True,
     ) -> dict[str, Any]:
-        """A sharded abstract chase of the session's source, warm-pooled.
-
-        ``executor="processes"`` reuses the daemon's shared
-        :class:`ProcessPoolExecutor` (see :meth:`pool`), so repeated
-        requests never pay worker startup.
-        """
-        if executor not in ("serial", "threads", "processes"):
-            raise ProtocolError(f"unknown executor {executor!r}")
-        if not isinstance(shards, int) or shards < 1:
-            raise ProtocolError(f"shards must be a positive integer, got {shards!r}")
+        """A sharded abstract chase of the session's source."""
         session = self._get(name)
         from repro.abstract_view import abstract_chase, semantics
 
-        runner = self.pool() if executor == "processes" else executor
         with session.lock:
             result = abstract_chase(
                 semantics(session.source),
                 session.setting,
                 shards=shards,
-                executor=runner,
                 incremental=incremental,
             )
         if result.error is not None:
@@ -524,7 +482,6 @@ class SessionManager:
                     "regions": report.regions,
                     "nulls": report.nulls_issued,
                     "ms": round(report.seconds * 1000.0, 3),
-                    "remote": report.remote,
                 }
                 for report in result.shard_reports
             ],

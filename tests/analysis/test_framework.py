@@ -16,9 +16,9 @@ def write(tmp_path, text, name="snippet.py"):
     return path
 
 
-def test_registry_has_the_six_rules_sorted():
+def test_registry_has_the_five_rules_sorted():
     codes = [rule.code for rule in all_rules()]
-    assert codes == ["TDX001", "TDX002", "TDX003", "TDX004", "TDX005", "TDX006"]
+    assert codes == ["TDX001", "TDX002", "TDX003", "TDX005", "TDX006"]
     assert all(rule.name and rule.summary for rule in all_rules())
 
 

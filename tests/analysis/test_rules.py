@@ -11,7 +11,7 @@ from repro.analysis import analyze_file
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-RULES = ["TDX001", "TDX002", "TDX003", "TDX004", "TDX005", "TDX006"]
+RULES = ["TDX001", "TDX002", "TDX003", "TDX005", "TDX006"]
 
 
 def fixture(code: str, kind: str) -> Path:

@@ -332,7 +332,7 @@ class TestEngineAndShardFlags:
 
 
 class TestSchedulerFlags:
-    """PR 3: --shards/--executor/--incremental symmetric on chase/verify."""
+    """--shards/--incremental symmetric on chase/verify."""
 
     def test_chase_via_abstract_prints_snapshots(
         self, mapping_file, source_file, capsys
@@ -371,17 +371,30 @@ class TestSchedulerFlags:
         off_output = capsys.readouterr().out
         assert on_output == off_output
 
-    def test_chase_accepts_shards_and_executor(
-        self, mapping_file, source_file, capsys
-    ):
+    def test_chase_accepts_shards(self, mapping_file, source_file, capsys):
         code = main(
             [
                 "chase", "--mapping", mapping_file, "--source", source_file,
-                "--via", "abstract", "--shards", "2", "--executor", "threads",
+                "--via", "abstract", "--shards", "2",
             ]
         )
         assert code == 0
         assert "shard 1:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["chase", "verify", "serve"])
+    @pytest.mark.parametrize("flag", ["--executor", "--workers"])
+    def test_pool_flags_are_gone(
+        self, command, flag, mapping_file, source_file, capsys
+    ):
+        # The region blocks run serially; no pool can be chosen or sized.
+        inputs = (
+            [] if command == "serve"
+            else ["--mapping", mapping_file, "--source", source_file]
+        )
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, *inputs, flag, "2"])
+        assert exc_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["chase", "verify"])
     def test_invalid_shards_fails_cleanly(
@@ -397,14 +410,13 @@ class TestSchedulerFlags:
         assert exc_info.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
 
-    def test_verify_accepts_executor_and_incremental(
+    def test_verify_accepts_shards_and_incremental(
         self, mapping_file, source_file, capsys
     ):
         code = main(
             [
                 "verify", "--mapping", mapping_file, "--source", source_file,
-                "--shards", "2", "--executor", "threads",
-                "--incremental", "off",
+                "--shards", "2", "--incremental", "off",
             ]
         )
         assert code == 0

@@ -339,6 +339,59 @@ class TestErrorMapping:
         assert reply.startswith(b"HTTP/1.1 400 "), reply[:80]
         assert client.healthz()["status"] == "ok"
 
+    @pytest.mark.parametrize(
+        "partial",
+        [
+            b"POST /sessions HTTP/1.1\r\nHost: x\r\n",
+            b"POST /sessions HTTP/1.1\r\nContent-Length: 50\r\n\r\n{\"v\": 1",
+        ],
+        ids=["stalled-head", "stalled-body"],
+    )
+    def test_stalled_request_is_408(self, server, client, monkeypatch, partial):
+        import socket
+
+        from repro.server import app
+
+        monkeypatch.setattr(app, "REQUEST_READ_TIMEOUT", 0.2)
+        with socket.create_connection(("127.0.0.1", server.port), timeout=30) as raw:
+            raw.sendall(partial)
+            reply = b""
+            while chunk := raw.recv(65536):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 408 "), reply[:80]
+        assert client.healthz()["status"] == "ok"
+
+    def test_replace_must_be_a_boolean(self, client):
+        with pytest.raises(ClientError) as err:
+            client.post(
+                "/sessions",
+                {
+                    "name": "strict",
+                    "setting": ORG_SETTING_JSON,
+                    "source": org_source_json(3),
+                    "replace": "no",
+                },
+            )
+        assert err.value.status == 400
+        assert "'replace'" in str(err.value)
+
+    def test_incremental_must_be_a_boolean(self, client):
+        client.create("strict-inc", ORG_SETTING_JSON, org_source_json(3))
+        with pytest.raises(ClientError) as err:
+            client.post("/sessions/strict-inc/abstract", {"incremental": "false"})
+        assert err.value.status == 400
+        assert "'incremental'" in str(err.value)
+        client.evict("strict-inc")
+
+    @pytest.mark.parametrize("shards", [True, 0, 1.5, "2", None])
+    def test_shards_must_be_a_positive_integer(self, client, shards):
+        client.create("strict-shards", ORG_SETTING_JSON, org_source_json(3))
+        with pytest.raises(ClientError) as err:
+            client.post("/sessions/strict-shards/abstract", {"shards": shards})
+        assert err.value.status == 400
+        assert "'shards'" in str(err.value)
+        client.evict("strict-shards")
+
     def test_failing_chase_is_409(self, client):
         # The medical key EGD fails on conflicting treatments.
         from repro.workloads import medical_conflicting_scenario
@@ -360,7 +413,14 @@ class TestAbstract:
         assert result["regions"] > 0
         assert result["templates"] > 0
         assert len(result["shards"]) == 2
+        for report in result["shards"]:
+            assert set(report) == {"shard", "regions", "nulls", "ms"}
         client.evict("abs")
+
+    def test_stats_shape(self, client):
+        stats = client.stats()
+        assert set(stats) == {"sessions", "cache"}
+        assert {"hits", "misses", "evictions"} <= set(stats["cache"])
 
 
 class TestConcurrency:

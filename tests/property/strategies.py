@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from repro.concrete import ConcreteInstance, concrete_fact
+from repro.relational import AnnotatedNull, Constant, Fact, Instance, LabeledNull
 from repro.temporal import INFINITY, Interval
 
 
@@ -70,4 +71,43 @@ def employment_instances(draw, max_facts: int = 6):
                     interval=stamp,
                 )
             )
+    return instance
+
+
+@st.composite
+def ground_terms(draw):
+    """Constants of several Python types, both null kinds, interval values."""
+    kind = draw(st.integers(min_value=0, max_value=3))
+    if kind == 0:
+        return Constant(
+            draw(
+                st.one_of(
+                    st.text(min_size=0, max_size=6),
+                    st.integers(min_value=-(2**70), max_value=2**70),
+                    st.booleans(),
+                    st.none(),
+                )
+            )
+        )
+    if kind == 1:
+        return LabeledNull(draw(st.sampled_from(("N1", "N2", "M3"))))
+    if kind == 2:
+        return AnnotatedNull(
+            draw(st.sampled_from(("N1", "N2"))),
+            draw(intervals(allow_unbounded=True)),
+        )
+    return Constant(draw(intervals(allow_unbounded=True)))
+
+
+@st.composite
+def relational_instances(draw, max_facts: int = 10):
+    """Small snapshot instances over R/S/T with mixed arities and terms."""
+    count = draw(st.integers(min_value=0, max_value=max_facts))
+    instance = Instance()
+    for _ in range(count):
+        relation = draw(st.sampled_from(("R", "S", "T")))
+        arity = draw(st.integers(min_value=1, max_value=3))
+        instance.add(
+            Fact(relation, tuple(draw(ground_terms()) for _ in range(arity)))
+        )
     return instance

@@ -1,8 +1,12 @@
-"""Property-based round-trip tests: serialization and coalescing."""
+"""Property-based round-trip tests: serialization, pickling, coalescing."""
+
+import pickle
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.abstract_view import semantics
+from repro.chase import NullFactory
 from repro.concrete import c_chase
 from repro.serialize import (
     concrete_instance_from_json,
@@ -12,7 +16,7 @@ from repro.serialize import (
 )
 from repro.workloads import exchange_setting_join
 
-from .strategies import concrete_instances, employment_instances
+from .strategies import concrete_instances, employment_instances, relational_instances
 
 
 class TestSerializationRoundtrips:
@@ -39,6 +43,47 @@ class TestSerializationRoundtrips:
             concrete_instance_to_json(solution)
         ) == solution
         assert instance_from_csv_dict(instance_to_csv_dict(solution)) == solution
+
+
+class TestPickleRoundtrips:
+    """Session snapshots are pickles: values must survive them whole."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(instance=relational_instances())
+    def test_pickle_preserves_equality_and_indexes(self, instance):
+        # Warm the lazy caches so the round trip has to discard them.
+        for relation in instance.relation_names():
+            instance.lookup(relation, {})
+        clone = pickle.loads(pickle.dumps(instance))
+        assert clone == instance
+        for relation in instance.relation_names():
+            for item in instance.facts_of(relation):
+                for position, value in enumerate(item.args):
+                    assert clone.lookup(
+                        relation, {position: value}
+                    ) == instance.lookup(relation, {position: value})
+
+    @settings(max_examples=50, deadline=None)
+    @given(source=concrete_instances())
+    def test_concrete_pickle_preserves_lifted_view(self, source):
+        source.lifted()
+        clone = pickle.loads(pickle.dumps(source))
+        assert clone == source
+        assert clone.lifted() == source.lifted()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        prefix=st.sampled_from(("N", "Ns0_", "Ng2s1_")),
+        warmup=st.integers(min_value=0, max_value=20),
+        issue=st.integers(min_value=1, max_value=10),
+    )
+    def test_null_factory_pickle_keeps_transcript(self, prefix, warmup, issue):
+        original = NullFactory(prefix=prefix)
+        for _ in range(warmup):
+            original.fresh()
+        pickled = pickle.loads(pickle.dumps(original))
+        produced = [original.fresh().name for _ in range(issue)]
+        assert [pickled.fresh().name for _ in range(issue)] == produced
 
 
 class TestCoalescingProperties:

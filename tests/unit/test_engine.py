@@ -200,14 +200,17 @@ class TestRegionScheduler:
                 if tag != other_tag:
                     assert names.isdisjoint(other_names)
 
-    def test_threads_executor_matches_serial_executor(self):
+    def test_unsharded_run_advances_shared_factory(self):
         abstract = self._abstract()
-        serial = abstract_chase(abstract, self.SETTING, shards=3)
-        threaded = abstract_chase(
-            abstract, self.SETTING, shards=3, executor="threads"
-        )
-        assert threaded.target == serial.target
-        assert len(threaded.shard_reports) == len(serial.shard_reports) == 3
+        base = NullFactory()
+        result = abstract_chase(abstract, self.SETTING, null_factory=base)
+        assert result.succeeded
+        assert base.issued == result.shard_reports[0].nulls_issued > 0
+        # A second run off the same factory must not repeat null names.
+        again = abstract_chase(abstract, self.SETTING, null_factory=base)
+        first_nulls = {n.base for n in result.target.per_snapshot_nulls()}
+        second_nulls = {n.base for n in again.target.per_snapshot_nulls()}
+        assert first_nulls.isdisjoint(second_nulls)
 
     def test_shard_reports_account_for_all_regions(self):
         abstract = self._abstract()
@@ -230,7 +233,8 @@ class TestRegionScheduler:
         abstract = self._abstract()
         with pytest.raises(InstanceError):
             abstract_chase(abstract, self.SETTING, shards=0)
-        with pytest.raises(InstanceError):
+        # There is one serial scheduler: no executor can be chosen.
+        with pytest.raises(TypeError, match="executor"):
             abstract_chase(
                 abstract, self.SETTING, shards=2, executor="bogus"
             )

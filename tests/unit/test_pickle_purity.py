@@ -10,8 +10,11 @@ unpickled object must come back with its caches unset.
 import pickle
 
 from repro.abstract_view.abstract_instance import TemplateFact
+from repro.chase import NullFactory
+from repro.concrete import ConcreteInstance, concrete_fact
 from repro.dependencies.dependency import EGD, SourceToTargetTGD
 from repro.dependencies.mapping import DataExchangeSetting
+from repro.relational import Instance, fact
 from repro.relational.formulas import Atom, TemporalConjunction
 from repro.relational.schema import Schema
 from repro.relational.terms import Constant, Variable
@@ -140,3 +143,49 @@ class TestDataExchangeSetting:
         assert "_snapshot_egd_tasks" not in clone.__dict__
         assert "_concrete_egd_tasks" not in clone.__dict__
         assert clone == warmed
+
+
+class TestSnapshotValues:
+    """Values a session snapshot pickles come back whole, caches rebuilt."""
+
+    def test_instance_roundtrip_drops_and_rebuilds_caches(self):
+        instance = Instance([fact("E", "ada", "ibm"), fact("E", "bob", "hp")])
+        # Force the lazy index so the pickle has something to drop.
+        assert instance.lookup("E", {0: Constant("ada")})
+        clone = roundtrip(instance)
+        assert clone == instance
+        assert clone.lookup("E", {0: Constant("ada")}) == instance.lookup(
+            "E", {0: Constant("ada")}
+        )
+
+    def test_concrete_instance_roundtrip(self):
+        instance = ConcreteInstance(
+            [
+                concrete_fact("E", "ada", "ibm", interval=Interval(0, 5)),
+                concrete_fact("S", "ada", "10k", interval=Interval(2, 7)),
+            ]
+        )
+        assert instance.lifted()  # warm the cached view
+        clone = roundtrip(instance)
+        assert clone == instance
+        assert clone.lifted() == instance.lifted()
+
+    def test_fact_state_excludes_caches(self):
+        item = fact("E", "ada", "ibm")
+        hash(item)
+        item.sort_key()
+        assert item.__getstate__() == ("E", item.args)
+        clone = roundtrip(item)
+        assert clone == item and hash(clone) == hash(item)
+        assert clone.sort_key() == item.sort_key()
+
+    def test_null_factory_transcript_survives(self):
+        factory = NullFactory()
+        factory.fresh()
+        factory.fresh()
+        clone = roundtrip(factory)
+        assert clone.fresh().name == factory.fresh().name
+        assert clone.fresh_annotated(Interval(0, 2)) == factory.fresh_annotated(
+            Interval(0, 2)
+        )
+        assert clone.for_shard(1, 2).prefix == factory.for_shard(1, 2).prefix
