@@ -11,17 +11,17 @@ the output size.
 
 Both the chase (``Tri(x,y,z)`` exchange, join cost in normalization and
 tgd matching) and query answering (triangle query over a copied target)
-run through the same plan layer, so one ``--join`` mode switch covers
-both; the ``flat`` parametrization pins the reference engine so the gate
-tracks the two algorithms separately.
+run through the same plan layer, so one :func:`repro.oracle.join_mode`
+pin covers both; the ``flat`` parametrization pins the reference join so
+the gate tracks the two algorithms separately.
 """
 
 import pytest
 
 from repro.concrete.cchase import c_chase
 from repro.query.certain import certain_answers_concrete
+from repro.oracle import join_mode
 from repro.query.query import ConjunctiveQuery
-from repro.relational.homomorphism import join_mode
 from repro.workloads import (
     exchange_setting_copy,
     exchange_setting_triangle,

@@ -45,7 +45,6 @@ from typing import Iterable
 
 from repro.errors import ChaseFailureError, InstanceError, ShardExecutionError
 from repro.abstract_view.abstract_instance import AbstractInstance, TemplateFact
-from repro.chase.engine import EngineMode
 from repro.chase.incremental import IncrementalRegionChaser, RegionReuseStats
 from repro.chase.nulls import NullFactory
 from repro.chase.standard import ChaseVariant, SnapshotChaseResult, chase_snapshot
@@ -153,7 +152,6 @@ def _chase_regions(
     setting: DataExchangeSetting,
     nulls: NullFactory,
     variant: ChaseVariant,
-    engine: EngineMode,
     incremental: bool,
     shard: int,
 ) -> tuple[
@@ -174,7 +172,7 @@ def _chase_regions(
     region_stats: dict[Interval, RegionReuseStats] = {}
     region: Interval | None = None
     chaser = (
-        IncrementalRegionChaser(setting, nulls, variant, engine)
+        IncrementalRegionChaser(setting, nulls, variant)
         if incremental
         else None
     )
@@ -206,7 +204,6 @@ def _chase_regions(
                     setting,
                     null_factory=nulls,
                     variant=variant,
-                    engine=engine,
                 )
         except Exception as exc:  # noqa: BLE001 — surfaced with shard context
             return results, region_stats, ShardExecutionError(
@@ -280,7 +277,6 @@ def _execute_block(
     setting: DataExchangeSetting,
     factory: NullFactory,
     variant: ChaseVariant,
-    engine: EngineMode,
     incremental: bool,
     shard: int,
 ) -> _BlockOutcome:
@@ -292,7 +288,6 @@ def _execute_block(
         setting,
         factory,
         variant,
-        engine,
         incremental,
         shard,
     )
@@ -321,7 +316,6 @@ def abstract_chase(
     setting: DataExchangeSetting,
     null_factory: NullFactory | None = None,
     variant: ChaseVariant = "standard",
-    engine: EngineMode = "delta",
     shards: int = 1,
     incremental: bool = True,
 ) -> AbstractChaseResult:
@@ -376,7 +370,6 @@ def abstract_chase(
                 setting,
                 factory,
                 variant,
-                engine,
                 incremental,
                 index,
             )

@@ -25,9 +25,9 @@ Structure:
   full re-scan round is gone, along with the fresh instance allocated
   per round.
 
-``mode="rescan"`` restores the full re-enumeration every round (still
-with in-place substitution); it exists as the reference the property
-tests compare the delta mode against, and as a CLI escape hatch.
+The full re-enumeration every round (still with in-place
+substitution) survives only as the reference the property tests compare
+the delta rounds against; :mod:`repro.oracle` reaches it.
 
 Within each round, equations feed one
 :class:`~repro.chase.union_find.TermUnionFind` and one substitution pass
@@ -42,7 +42,7 @@ implementation (trace format v2; see docs/architecture.md).
 
 from __future__ import annotations
 
-from typing import Iterable, Literal, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 from repro.chase.trace import ChaseTrace, EgdStepRecord, FailureRecord, TgdStepRecord
 from repro.chase.union_find import ConstantClashError, TermUnionFind
@@ -56,7 +56,6 @@ from repro.relational.instance import Instance
 from repro.relational.terms import Term, Variable
 
 __all__ = [
-    "EngineMode",
     "EgdTask",
     "ChaseDomain",
     "RhsProbe",
@@ -64,9 +63,6 @@ __all__ = [
     "run_tgd_pass",
     "run_egd_fixpoint",
 ]
-
-EngineMode = Literal["delta", "rescan"]
-
 
 class RhsProbe:
     """Precomputed single-atom rhs extension check as a projection set.
@@ -241,7 +237,8 @@ def run_egd_fixpoint(
     domain: ChaseDomain,
     tasks: Sequence[EgdTask],
     trace: ChaseTrace,
-    mode: EngineMode = "delta",
+    *,
+    _rescan: bool = False,
 ) -> FailureRecord | None:
     """Chase the egds to fixpoint in batched semi-naive rounds.
 
@@ -250,6 +247,9 @@ def run_egd_fixpoint(
     domain's target is mutated in place either way; on failure it holds
     every merge recorded before the clash, exactly as the historic
     per-equation loop left it.
+
+    *_rescan* re-enumerates the full instance every round instead of
+    the delta; only :mod:`repro.oracle` passes it.
     """
     delta: list[Fact] | None = None  # None = seed round over the full instance
     while True:
@@ -295,7 +295,7 @@ def run_egd_fixpoint(
         if not merged:
             return None
         added = domain.apply_substitution(union_find.substitution())
-        if mode == "rescan":
+        if _rescan:
             delta = None
         elif not added:
             # Nothing new entered the instance (every image merged into

@@ -504,12 +504,10 @@ class IncrementalRegionChaser:
         setting: DataExchangeSetting,
         nulls: NullFactory,
         variant: ChaseVariant = "standard",
-        engine: str = "delta",
     ) -> None:
         self.setting = setting
         self.nulls = nulls
         self.variant = variant
-        self.engine = engine
         self.tasks = _snapshot_tgd_tasks(setting)
         self.shapes = [
             _analyze_stream_shape(task.tgd) for task in self.tasks
@@ -639,9 +637,7 @@ class IncrementalRegionChaser:
             # seed-round enumeration is skipped outright.
             failure = None
         else:
-            failure = run_egd_fixpoint(
-                domain, self.egd_tasks, trace, mode=self.engine
-            )
+            failure = run_egd_fixpoint(domain, self.egd_tasks, trace)
         if failure is not None:
             self.previous = None
             if previous is not None:
@@ -654,7 +650,6 @@ class IncrementalRegionChaser:
                         self.setting,
                         null_factory=self.nulls,
                         variant=self.variant,
-                        engine=self.engine,  # type: ignore[arg-type]
                     ),
                     stats,
                 )

@@ -43,7 +43,6 @@ from typing import Literal
 from repro.errors import ChaseFailureError
 from repro.chase.engine import (
     EgdTask,
-    EngineMode,
     build_rhs_probe,
     run_egd_fixpoint,
     run_tgd_pass,
@@ -255,7 +254,6 @@ def _run_egd_phase(
     target: Instance,
     setting: DataExchangeSetting,
     trace: ChaseTrace,
-    mode: EngineMode = "delta",
 ) -> tuple[Instance, FailureRecord | None]:
     """Chase the egds to fixpoint; returns (instance, failure-or-None).
 
@@ -263,7 +261,7 @@ def _run_egd_phase(
     the snapshot domain; the instance is mutated in place and returned.
     """
     domain = _SnapshotDomain(target)
-    failure = run_egd_fixpoint(domain, _egd_tasks(setting), trace, mode=mode)
+    failure = run_egd_fixpoint(domain, _egd_tasks(setting), trace)
     return target, failure
 
 
@@ -272,15 +270,13 @@ def chase_snapshot(
     setting: DataExchangeSetting,
     null_factory: NullFactory | None = None,
     variant: ChaseVariant = "standard",
-    engine: EngineMode = "delta",
 ) -> SnapshotChaseResult:
     """Chase one snapshot, producing a universal solution or a failure.
 
     *variant* selects the s-t tgd firing policy (``"standard"`` checks for
     an existing extension before firing; ``"oblivious"`` always fires).
-    *engine* selects the egd fixpoint strategy (``"delta"`` enumerates
-    each round against the previous round's delta only; ``"rescan"``
-    re-enumerates the full instance every round — the reference mode).
+    The egd fixpoint enumerates each round against the previous round's
+    delta only.
     """
     nulls = null_factory if null_factory is not None else NullFactory()
     trace = ChaseTrace()
@@ -288,7 +284,7 @@ def chase_snapshot(
     # already happened at the dependency level where attributes are known.
     target = Instance()
     _run_tgd_phase(source, target, setting, nulls, variant, trace)
-    result_instance, failure = _run_egd_phase(target, setting, trace, mode=engine)
+    result_instance, failure = _run_egd_phase(target, setting, trace)
     if failure is not None:
         return SnapshotChaseResult(
             target=result_instance, failed=True, failure=failure, trace=trace

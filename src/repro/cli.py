@@ -33,7 +33,6 @@ from repro.query import (
     UnionQuery,
     certain_answers_concrete,
 )
-from repro.relational.homomorphism import set_join_mode
 from repro.serialize import (
     concrete_instance_from_json,
     concrete_instance_to_json,
@@ -125,7 +124,6 @@ def _print_shard_reports(abstract_result) -> None:
 
 
 def _cmd_chase(args: argparse.Namespace) -> int:
-    set_join_mode(args.join)
     setting = _load_setting(args.mapping)
     source = _load_instance(args.source)
     if args.via == "abstract":
@@ -136,7 +134,6 @@ def _cmd_chase(args: argparse.Namespace) -> int:
             ("--out", bool(args.out)),
             ("--pretty", args.pretty),
             ("--coalesce", args.coalesce),
-            ("--normalization", args.normalization != "conjunction"),
             ("--norm-log", bool(args.norm_log)),
         ):
             if given:
@@ -148,7 +145,6 @@ def _cmd_chase(args: argparse.Namespace) -> int:
             semantics(source),
             setting,
             variant=args.variant,
-            engine=args.engine,
             shards=args.shards,
             incremental=args.incremental != "off",
         )
@@ -189,22 +185,14 @@ def _cmd_chase(args: argparse.Namespace) -> int:
             "concrete c-chase it needs --norm-log FILE (or add "
             "--via abstract for cross-region replay)"
         )
-    if args.norm_log and args.normalization == "naive":
-        raise SystemExit(
-            "error: --norm-log records Algorithm 1's group decisions; "
-            "the naive normalization has none to replay "
-            "(drop --norm-log or use --normalization conjunction)"
-        )
     incremental = None
     if args.norm_log and args.incremental != "off":
         incremental = _load_norm_log(args.norm_log)
     result = c_chase(
         source,
         setting,
-        normalization=args.normalization,
         variant=args.variant,
         coalesce_result=args.coalesce,
-        engine=args.engine,
         incremental=incremental,
     )
     if args.norm_log and args.incremental != "off":
@@ -254,12 +242,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             "error: --query-log only records when replay is enabled; "
             "add --incremental to use the chain"
         )
-    if args.incremental and args.engine == "scan":
-        raise SystemExit(
-            "error: --incremental requires --engine indexed; the scan "
-            "reference engine re-evaluates from scratch by design"
-        )
-    set_join_mode(args.join)
     setting = _load_setting(args.mapping)
     source = _load_instance(args.source)
     rules = [rule for rule in args.query.split(";") if rule.strip()]
@@ -270,9 +252,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         query = UnionQuery.of(*rules)
     log = _load_query_log(args.query_log) if args.incremental else None
     mark = log.answers.counters() if log is not None else None
-    answers = certain_answers_concrete(
-        query, source, setting, engine=args.engine, log=log
-    )
+    answers = certain_answers_concrete(query, source, setting, log=log)
     if log is not None:
         _save_query_log(args.query_log, log)
         # The ledger's counters are cumulative across the pickled chain;
@@ -289,7 +269,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    set_join_mode(args.join)
     setting = _load_setting(args.mapping)
     source = _load_instance(args.source)
     # --incremental gates both replay layers here: the abstract chase's
@@ -300,7 +279,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify_correspondence(
         source,
         setting,
-        engine=args.engine,
         shards=args.shards,
         incremental=args.incremental != "off",
         cchase_incremental=cchase_incremental,
@@ -435,7 +413,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
         elif args.action == "query":
             if not args.query:
                 raise SystemExit("error: client query requires --query RULE")
-            result = client.query(need_session(), args.query, engine=args.engine)
+            result = client.query(need_session(), args.query)
         elif args.action in ("target", "source"):
             getter = client.target if args.action == "target" else client.source
             payload = getter(need_session())
@@ -569,26 +547,6 @@ def _shard_count(value: str) -> int:
     return parsed
 
 
-def _add_join_flag(command: argparse.ArgumentParser) -> None:
-    """The join-engine selector, shared by chase/query/verify.
-
-    Both engines enumerate byte-identical rows in the identical order,
-    so the flag only changes how long the run takes — ``auto`` picks the
-    worst-case-optimal join for large-enough cyclic ≥3-atom bodies and
-    the flat written-order join everywhere else.
-    """
-    command.add_argument(
-        "--join",
-        choices=["auto", "flat", "wcoj"],
-        default="auto",
-        help="join algorithm for multi-atom rule bodies and queries: "
-        "auto (default) uses the worst-case-optimal join for cyclic "
-        "bodies of three or more atoms over large-enough relations and "
-        "the flat join elsewhere; flat/wcoj force one engine (the "
-        "answers are identical either way — only the runtime differs)",
-    )
-
-
 def _add_scheduler_flags(command: argparse.ArgumentParser) -> None:
     """The abstract chase's region-scheduler flags, shared by chase/verify."""
     command.add_argument(
@@ -613,7 +571,7 @@ def _add_scheduler_flags(command: argparse.ArgumentParser) -> None:
         "state: when FILE exists it seeds replay of unchanged "
         "value-equivalence groups, and the run's state is written back "
         "(a pickle — only load files this tool wrote for you; "
-        "concrete c-chase with Algorithm 1 normalization only)",
+        "concrete c-chase only)",
     )
 
 
@@ -631,21 +589,9 @@ def build_parser() -> argparse.ArgumentParser:
     chase.add_argument("--pretty", action="store_true", help="print ASCII tables")
     chase.add_argument("--trace", action="store_true", help="print chase steps")
     chase.add_argument(
-        "--normalization",
-        choices=["conjunction", "naive"],
-        default="conjunction",
-    )
-    chase.add_argument(
         "--variant", choices=["standard", "oblivious"], default="standard"
     )
     chase.add_argument("--coalesce", action="store_true")
-    chase.add_argument(
-        "--engine",
-        choices=["delta", "rescan"],
-        default="delta",
-        help="egd fixpoint strategy: semi-naive delta rounds (default) "
-        "or full re-enumeration per round",
-    )
     chase.add_argument(
         "--via",
         choices=["concrete", "abstract"],
@@ -655,7 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(prints snapshot tables; honors --shards/--incremental)",
     )
     _add_scheduler_flags(chase)
-    _add_join_flag(chase)
     chase.set_defaults(handler=_cmd_chase)
 
     norm = commands.add_parser("normalize", help="normalize an instance")
@@ -676,13 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="rule(s) like \"q(n,s) :- Emp(n,c,s)\"; ';'-separated for unions",
     )
     query.add_argument(
-        "--engine",
-        choices=["indexed", "scan"],
-        default="indexed",
-        help="evaluation engine: indexed plan probing (default) or the "
-        "scan reference mode",
-    )
-    query.add_argument(
         "--incremental",
         action="store_true",
         help="replay the recorded query log (chase state, normalization "
@@ -695,7 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
         "and write this run's state back.  Pickle format — only reuse "
         "files this tool wrote",
     )
-    _add_join_flag(query)
     query.set_defaults(handler=_cmd_query)
 
     verify = commands.add_parser(
@@ -703,14 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--mapping", required=True)
     verify.add_argument("--source", required=True)
-    verify.add_argument(
-        "--engine",
-        choices=["delta", "rescan"],
-        default="delta",
-        help="chase engine mode for both procedures",
-    )
     _add_scheduler_flags(verify)
-    _add_join_flag(verify)
     verify.set_defaults(handler=_cmd_verify)
 
     figures = commands.add_parser(
@@ -784,13 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--query",
         help="query: rule(s) like \"q(n,s) :- Emp(n,c,s)\"; "
         "';'-separated for unions",
-    )
-    client.add_argument(
-        "--engine",
-        choices=["indexed", "scan"],
-        default="indexed",
-        help="query evaluation engine (indexed replays the session's "
-        "answer ledger)",
     )
     client.add_argument(
         "--pretty",

@@ -43,7 +43,6 @@ from typing import Literal
 from repro.errors import ChaseFailureError
 from repro.chase.engine import (
     EgdTask,
-    EngineMode,
     build_rhs_probe,
     run_egd_fixpoint,
     run_tgd_pass,
@@ -62,7 +61,6 @@ from repro.concrete.normalization import (
     _lift_atoms,
     find_temporal_assignments,
     interval_of,
-    naive_normalize,
     normalize_with_report,
 )
 from repro.dependencies.dependency import SourceToTargetTGD
@@ -75,9 +73,8 @@ from repro.relational.terms import (
     Variable,
 )
 
-__all__ = ["CChaseResult", "CChaseReplayState", "c_chase", "NormalizationMode"]
+__all__ = ["CChaseResult", "CChaseReplayState", "c_chase"]
 
-NormalizationMode = Literal["conjunction", "naive"]
 TgdVariant = Literal["standard", "oblivious"]
 
 
@@ -116,10 +113,9 @@ class CChaseResult:
     trace: ChaseTrace = field(default_factory=ChaseTrace)
     normalized_source: ConcreteInstance = field(default_factory=ConcreteInstance)
     pre_egd_target: ConcreteInstance = field(default_factory=ConcreteInstance)
-    # Populated for normalization="conjunction": the two stages' reports
-    # (source w.r.t. Σ+st, target w.r.t. Σ+eg), and — when the run was
-    # asked to record (incremental= anything but None/False) — the
-    # replayable state for the next run.
+    # The two Algorithm 1 stages' reports (source w.r.t. Σ+st, target
+    # w.r.t. Σ+eg), and — when the run was asked to record (incremental=
+    # anything but None/False) — the replayable state for the next run.
     normalization_reports: tuple[NormalizationReport, NormalizationReport] | None = None
     replay_state: CChaseReplayState | None = None
 
@@ -135,20 +131,6 @@ class CChaseResult:
                 self.failure.dependency, self.failure.left, self.failure.right
             )
         return self.target
-
-
-def _normalize(
-    instance: ConcreteInstance,
-    conjunctions,
-    mode: NormalizationMode,
-    previous: NormalizationLog | None = None,
-    record: bool = False,
-) -> tuple[ConcreteInstance, NormalizationReport | None]:
-    if mode == "naive":
-        return naive_normalize(instance), None
-    return normalize_with_report(
-        instance, conjunctions, previous=previous, record=record
-    )
 
 
 def _lift_rhs(tgd: SourceToTargetTGD, tvar: Variable) -> tuple[Atom, ...]:
@@ -338,7 +320,6 @@ def _run_egd_phase(
     target: ConcreteInstance,
     setting: DataExchangeSetting,
     trace: ChaseTrace,
-    mode: EngineMode = "delta",
 ) -> tuple[ConcreteInstance, FailureRecord | None]:
     """Resolve the egds in batched semi-naive rounds (module docstring).
 
@@ -346,7 +327,7 @@ def _run_egd_phase(
     the concrete domain; the instance is mutated in place and returned.
     """
     domain = _ConcreteDomain(target)
-    failure = run_egd_fixpoint(domain, _egd_tasks(setting), trace, mode=mode)
+    failure = run_egd_fixpoint(domain, _egd_tasks(setting), trace)
     return target, failure
 
 
@@ -354,10 +335,8 @@ def c_chase(
     source: ConcreteInstance,
     setting: DataExchangeSetting,
     null_factory: NullFactory | None = None,
-    normalization: NormalizationMode = "conjunction",
     variant: TgdVariant = "standard",
     coalesce_result: bool = False,
-    engine: EngineMode = "delta",
     incremental: "CChaseResult | CChaseReplayState | bool | None" = None,
 ) -> CChaseResult:
     """Run the c-chase of Definition 16 on a concrete source instance.
@@ -370,20 +349,12 @@ def c_chase(
         The data exchange setting ``M``; its lifting ``M+`` is derived.
     null_factory:
         Source of fresh annotated nulls (deterministic default).
-    normalization:
-        ``"conjunction"`` uses Algorithm 1 w.r.t. the dependency lhs sets;
-        ``"naive"`` uses the endpoint-based baseline (ablation knob).
     variant:
         ``"standard"`` checks for an existing rhs extension before firing
         a tgd; ``"oblivious"`` always fires.
     coalesce_result:
         When ``True``, value-equivalent adjacent fragments of the solution
         are merged before returning (the semantics is unchanged).
-    engine:
-        ``"delta"`` runs egd rounds against the previous round's delta
-        only (semi-naive); ``"rescan"`` re-enumerates the full instance
-        every round — the reference mode the property tests compare
-        against.
     incremental:
         Fragment-level normalization replay across successive runs.
         ``True`` records this run's :class:`CChaseReplayState` (on
@@ -391,8 +362,8 @@ def c_chase(
         run's :class:`CChaseResult` or :class:`CChaseReplayState`
         replays every unchanged value-equivalence group and fragment
         plan *and* records the new state.  Outputs are byte-identical to
-        a from-scratch run; only ``normalization="conjunction"`` stages
-        participate.  ``None``/``False`` (default) turns recording off.
+        a from-scratch run.  ``None``/``False`` (default) turns
+        recording off.
     """
     nulls = null_factory if null_factory is not None else NullFactory()
     trace = ChaseTrace()
@@ -404,56 +375,36 @@ def c_chase(
     elif isinstance(incremental, CChaseReplayState):
         state = incremental
 
-    normalized_source, source_report = _normalize(
+    normalized_source, source_report = normalize_with_report(
         source,
         setting.lifted_st_lhs_conjunctions(),
-        normalization,
         previous=state.source if state is not None else None,
         record=record,
     )
     target = ConcreteInstance()
     _run_st_phase(normalized_source, target, setting, nulls, variant, trace)
-    pre_egd_target, target_report = _normalize(
+    pre_egd_target, target_report = normalize_with_report(
         target,
         setting.lifted_egd_lhs_conjunctions(),
-        normalization,
         previous=state.target if state is not None else None,
         record=record,
     )
-    reports = (
-        (source_report, target_report)
-        if source_report is not None and target_report is not None
-        else None
-    )
-    replay_state = (
-        CChaseReplayState(
-            source=source_report.log if source_report is not None else None,
-            target=target_report.log if target_report is not None else None,
-        )
-        if record
-        else None
-    )
     final, failure = _run_egd_phase(
-        pre_egd_target.copy(preserve_caches=True), setting, trace, mode=engine
+        pre_egd_target.copy(preserve_caches=True), setting, trace
     )
-    if failure is not None:
-        return CChaseResult(
-            target=final,
-            failed=True,
-            failure=failure,
-            trace=trace,
-            normalized_source=normalized_source,
-            pre_egd_target=pre_egd_target,
-            normalization_reports=reports,
-            replay_state=replay_state,
-        )
-    if coalesce_result:
+    if failure is None and coalesce_result:
         final = final.coalesce()
     return CChaseResult(
         target=final,
+        failed=failure is not None,
+        failure=failure,
         trace=trace,
         normalized_source=normalized_source,
         pre_egd_target=pre_egd_target,
-        normalization_reports=reports,
-        replay_state=replay_state,
+        normalization_reports=(source_report, target_report),
+        replay_state=(
+            CChaseReplayState(source=source_report.log, target=target_report.log)
+            if record
+            else None
+        ),
     )

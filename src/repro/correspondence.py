@@ -71,8 +71,6 @@ class CorrespondenceReport:
 def verify_correspondence(
     source: ConcreteInstance,
     setting: DataExchangeSetting,
-    normalization: str = "conjunction",
-    engine: str = "delta",
     shards: int = 1,
     incremental: bool = True,
     cchase_incremental=None,
@@ -84,8 +82,6 @@ def verify_correspondence(
     * one fails and the other does not → the square is broken (this would
       falsify the implementation, and the report says so).
 
-    *engine* selects the chase engine mode for both procedures
-    (``"delta"`` semi-naive rounds or ``"rescan"``);
     *shards*/*incremental* configure the abstract chase's
     region scheduler.  The correspondence is renaming-invariant, so
     sharded null namespaces do not affect the verdict, and the
@@ -97,20 +93,21 @@ def verify_correspondence(
     earlier verification of an overlapping source — or ``True`` to start
     recording one; byte-identical either way.
     """
-    concrete_result = c_chase(
-        source,
-        setting,
-        normalization=normalization,  # type: ignore[arg-type]
-        engine=engine,  # type: ignore[arg-type]
-        incremental=cchase_incremental,
-    )
+    concrete_result = c_chase(source, setting, incremental=cchase_incremental)
     abstract_result = abstract_chase(
         semantics(source),
         setting,
-        engine=engine,  # type: ignore[arg-type]
         shards=shards,
         incremental=incremental,
     )
+    return _square(concrete_result, abstract_result)
+
+
+def _square(
+    concrete_result: CChaseResult, abstract_result: AbstractChaseResult
+) -> CorrespondenceReport:
+    """The Figure 10 verdict on one c-chase and one abstract chase of
+    the same source (see :func:`verify_correspondence`)."""
     if abstract_result.error is not None:
         # A shard *raised* (as opposed to the chase failing): that is not
         # a correspondence verdict — surface it instead of misreporting

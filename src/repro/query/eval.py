@@ -1,6 +1,6 @@
 """Indexed evaluation of (unions of) conjunctive queries.
 
-The scan-based procedures of :mod:`repro.query.naive_eval` re-enumerate
+The paper's scan-based procedures (kept in :mod:`repro.oracle`) re-enumerate
 full instances on every call: the abstract route materializes a fresh
 snapshot per region, and the concrete four-step route copies the whole
 solution twice per disjunct (normalization and null-freezing) before a
@@ -38,8 +38,9 @@ machinery the chase already has:
   delta-patched-elsewhere) target replays instead of re-running.
 
 Everything here is answer-set equivalent (byte-identical) to the scan
-procedures; the property suite in ``tests/property`` sweeps the
-equivalence over colliding-endpoint and null-heavy instances.
+procedures kept in :mod:`repro.oracle`; the property suite in
+``tests/property`` sweeps the equivalence over colliding-endpoint and
+null-heavy instances.
 
 **Per-region null renaming.**  The abstract sweep needs region-constant
 facts, but a template carrying an interval-annotated null projects to a
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterator, Literal
+from typing import Iterator
 from weakref import WeakKeyDictionary
 
 from repro.abstract_view.abstract_instance import AbstractInstance
@@ -93,31 +94,12 @@ from repro.temporal.interval_set import IntervalSet
 from repro.temporal.timepoint import INFINITY
 
 __all__ = [
-    "Engine",
-    "check_engine",
     "QueryLog",
     "evaluate_snapshot_indexed",
     "evaluate_abstract_indexed",
     "evaluate_concrete_indexed",
     "forget_normalizations",
 ]
-
-#: ``"indexed"`` is the plan-probing evaluator of this module;
-#: ``"scan"`` is the historical reference implementation in
-#: :mod:`repro.query.naive_eval`, kept for the equivalence sweeps.
-Engine = Literal["indexed", "scan"]
-
-_ENGINES = ("indexed", "scan")
-
-
-def check_engine(engine: str) -> Engine:
-    """Validate an engine name (CLI and API entry points share this)."""
-    if engine not in _ENGINES:
-        raise ValueError(
-            f"unknown query engine {engine!r}; expected one of {_ENGINES}"
-        )
-    return engine  # type: ignore[return-value]
-
 
 def _as_union(query: ConjunctiveQuery | UnionQuery) -> UnionQuery:
     if isinstance(query, ConjunctiveQuery):

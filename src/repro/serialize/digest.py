@@ -68,15 +68,13 @@ def chase_request_digest(
     setting: DataExchangeSetting,
     source: ConcreteInstance,
     *,
-    normalization: str = "conjunction",
     variant: str = "standard",
-    engine: str = "delta",
 ) -> str:
     """The content address of one c-chase request.
 
     Every parameter that can change the chased target participates in
     the key; parameters that are provably output-neutral (the join
-    engine, replay state — both byte-identical by contract) do not, so
+    choice, replay state — both byte-identical by contract) do not, so
     a warm cache keeps serving across them.
     """
     return _hexdigest(
@@ -84,8 +82,6 @@ def chase_request_digest(
             "kind": "c-chase",
             "setting": setting_to_json(setting),
             "source": concrete_instance_to_json(source),
-            "normalization": normalization,
             "variant": variant,
-            "engine": engine,
         }
     )

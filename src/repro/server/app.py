@@ -15,9 +15,9 @@ violations) map to 400, an unknown session to 404, a failing chase to
 409.  Only a genuine server-side defect produces a 500.
 
 Every POST body is read through the versioned request envelope
-(``{"v": 1, ...}``; bodies without ``"v"`` are the legacy PR 9 dialect
-— see :func:`~repro.server.protocol.unwrap_envelope`); unknown
-versions are a 400 before any routing happens.
+(``{"v": 1, ...}``, see :func:`~repro.server.protocol.unwrap_envelope`);
+a body without ``"v"`` or with an unknown version is a 400 before the
+handler runs.
 
 Endpoints (full reference with examples in ``docs/server.md``)::
 
@@ -31,7 +31,7 @@ Endpoints (full reference with examples in ``docs/server.md``)::
     GET    /sessions/{name}/source       the cumulative source instance
     POST   /sessions/{name}/delta        {delta: {add, remove}} → target diff
     POST   /sessions/{name}/events       {events: [...][, mapping]} → ingest + diff
-    POST   /sessions/{name}/query        {query[, engine]} → certain answers
+    POST   /sessions/{name}/query        {query} → certain answers
     POST   /sessions/{name}/abstract     {shards[, incremental]} → sharded abstract chase
     POST   /sessions/{name}/snapshot     persist to the spool directory
     POST   /sessions/{name}/load         rebuild from the spool directory
@@ -49,6 +49,7 @@ from repro.errors import ReproError
 from repro.server.protocol import (
     ProtocolError,
     delta_from_payload,
+    reject_unknown_fields,
     require_bool,
     require_list,
     require_positive_int,
@@ -251,7 +252,7 @@ class ReproServer:
         if body:
             try:
                 payload = json.loads(body)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
                 await self._respond(writer, 400, {"error": f"invalid JSON body: {exc}"})
                 return keep_alive
             if not isinstance(payload, dict):
@@ -317,7 +318,7 @@ class ReproServer:
             if method == "GET":
                 return lambda: {"sessions": manager.list_sessions()}, {}
             if method == "POST":
-                _version, payload = unwrap_envelope(request.payload)
+                payload = unwrap_envelope(request.payload)
                 if "setting" not in payload or "source" not in payload:
                     raise ProtocolError(
                         "session creation needs 'name', 'setting' and 'source'"
@@ -350,13 +351,9 @@ class ReproServer:
             return handler, {"name": name}
         if method != "POST":
             raise ProtocolError(f"use POST on /sessions/{{name}}/{rest}", status=405)
-        version, payload = unwrap_envelope(request.payload)
+        payload = unwrap_envelope(request.payload)
         if rest == "delta":
-            return manager.delta, {
-                "name": name,
-                "delta": delta_from_payload(version, payload),
-                "legacy": version is None,
-            }
+            return manager.delta, {"name": name, "delta": delta_from_payload(payload)}
         if rest == "events":
             mapping = payload.get("mapping")
             if mapping is not None and not isinstance(mapping, dict):
@@ -367,10 +364,10 @@ class ReproServer:
                 "mapping_json": mapping,
             }
         if rest == "query":
+            reject_unknown_fields(payload, {"query"}, "query")
             return manager.query, {
                 "name": name,
                 "query_text": require_str(payload, "query"),
-                "engine": payload.get("engine", "indexed"),
             }
         if rest == "abstract":
             return manager.abstract, {

@@ -165,10 +165,8 @@ class ServerClient:
             fields["mapping"] = mapping
         return self.post(f"/sessions/{name}/events", fields)
 
-    def query(self, name: str, query: str, engine: str = "indexed") -> dict:
-        return self.post(
-            f"/sessions/{name}/query", {"query": query, "engine": engine}
-        )
+    def query(self, name: str, query: str) -> dict:
+        return self.post(f"/sessions/{name}/query", {"query": query})
 
     def abstract(
         self,

@@ -31,7 +31,6 @@ spool at a directory untrusted writers can reach.
 
 from __future__ import annotations
 
-import os
 import pickle
 import threading
 from dataclasses import dataclass, field
@@ -56,11 +55,8 @@ from repro.serialize.jsonio import (
     term_to_json,
 )
 from repro.server.cache import CachedChase, ChaseCache
-from repro.server.protocol import (
-    ProtocolError,
-    check_session_name,
-    diff_to_json,
-)
+from repro.server.protocol import ProtocolError, check_session_name
+from repro.state import write_pickle_atomically
 
 __all__ = ["Session", "SessionManager", "SessionSnapshot", "UnknownSessionError"]
 
@@ -284,12 +280,7 @@ class SessionManager:
         session.replay_state = replay_state
         return target_diff, meta
 
-    def delta(
-        self,
-        name: str,
-        delta: SourceDelta,
-        legacy: bool = False,
-    ) -> dict[str, Any]:
+    def delta(self, name: str, delta: SourceDelta) -> dict[str, Any]:
         """Apply a source delta; respond with the *target* diff.
 
         Strict by design (via :meth:`SourceDelta.apply`): removing an
@@ -298,24 +289,15 @@ class SessionManager:
         from the server's, and the byte-identity guarantee (server
         target ≡ from-scratch chase of the cumulative source) is only
         meaningful when both sides agree on what that source is.
-
-        *legacy* selects the response dialect: pre-envelope clients get
-        the old ``{"added": ..., "removed": ...}`` diff shape,
-        versioned clients get the canonical :class:`SourceDelta` codec.
         """
         session = self._get(name)
         with session.lock:
             target_diff, meta = self._apply_delta(session, delta)
             session.stats["deltas"] += 1
-            diff_json = (
-                diff_to_json(target_diff.add, target_diff.remove)
-                if legacy
-                else target_diff.to_json()
-            )
             return {
                 "session": session.name,
                 "source_facts": len(session.source),
-                "diff": diff_json,
+                "diff": target_diff.to_json(),
                 **meta,
             }
 
@@ -399,12 +381,7 @@ class SessionManager:
             )
             return response
 
-    def query(
-        self,
-        name: str,
-        query_text: str,
-        engine: str = "indexed",
-    ) -> dict[str, Any]:
+    def query(self, name: str, query_text: str) -> dict[str, Any]:
         """Certain answers against the maintained target, ledger-first.
 
         The session's target *is* the chased solution, so no chase runs
@@ -413,10 +390,6 @@ class SessionManager:
         facts of each disjunct's body relations — a repeated query
         against an unchanged target replays in O(1).
         """
-        if engine not in ("indexed", "scan"):
-            raise ProtocolError(
-                f"unknown engine {engine!r}: expected 'indexed' or 'scan'"
-            )
         session = self._get(name)
         rules = [rule for rule in query_text.split(";") if rule.strip()]
         if not rules:
@@ -430,19 +403,16 @@ class SessionManager:
         except ReproError as exc:
             raise ProtocolError(f"invalid query: {exc}") from exc
         with session.lock:
-            log = session.query_log if engine == "indexed" else None
-            mark = log.answers.counters() if log is not None else (0, 0)
+            log = session.query_log
+            mark = log.answers.counters()
             answers = naive_evaluate_concrete(
-                query, session.target, engine=engine, log=log
+                query, session.target, log=log
             ).to_temporal()
-            replayed, evaluated = (
-                log.answers.delta_since(mark) if log is not None else (0, 0)
-            )
+            replayed, evaluated = log.answers.delta_since(mark)
             session.stats["queries"] += 1
             session.stats["queries_replayed"] += 1 if replayed and not evaluated else 0
             return {
                 "session": session.name,
-                "engine": engine,
                 "answers": _answers_to_json(answers),
                 "replayed": replayed,
                 "evaluated": evaluated,
@@ -528,17 +498,9 @@ class SessionManager:
                 event_log=session.event_log,
             )
             path.parent.mkdir(parents=True, exist_ok=True)
-            # Write aside, then rename over: a crash mid-write leaves the
-            # previous snapshot intact.
-            temp = path.with_name(f".{path.name}.tmp")
-            try:
-                with open(temp, "wb") as handle:
-                    pickle.dump(payload, handle)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(temp, path)
-            finally:
-                temp.unlink(missing_ok=True)
+            # A crash mid-write leaves the previous snapshot intact; a
+            # failed write is a server-side fault (500), not a bad request.
+            write_pickle_atomically(path, payload)
         return {"session": name, "path": str(path)}
 
     def load(self, name: str) -> dict[str, Any]:

@@ -19,6 +19,7 @@ rule by only loading session snapshots from its own spool directory.
 
 from __future__ import annotations
 
+import os
 import pickle
 from pathlib import Path
 
@@ -32,6 +33,7 @@ __all__ = [
     "load_query_log",
     "save_chase_state",
     "save_query_log",
+    "write_pickle_atomically",
 ]
 
 
@@ -50,10 +52,29 @@ def _load_pickle(path: str | Path, expected: type, what: str) -> object:
     return state
 
 
+def write_pickle_atomically(path: str | Path, state: object) -> None:
+    """Pickle *state* to *path* so that a crash mid-write cannot truncate it.
+
+    The pickle is written to a temp file beside *path*, ``fsync``ed, then
+    renamed over *path* with :func:`os.replace`.  If anything fails the
+    previous file is left intact, the temp file is removed, and the
+    error propagates unchanged.
+    """
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(temp, "wb") as handle:
+            pickle.dump(state, handle)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
+
+
 def _save_pickle(path: str | Path, state: object, what: str) -> None:
     try:
-        with open(path, "wb") as handle:
-            pickle.dump(state, handle)
+        write_pickle_atomically(path, state)
     except OSError as exc:
         raise StateError(f"cannot write {what} to {path}: {exc}") from exc
 

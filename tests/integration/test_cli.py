@@ -13,6 +13,14 @@ from repro.workloads import (
 )
 
 
+def _rejected_by_argparse(argv, capsys):
+    """*argv* names a removed switch: argparse refuses it with exit 2."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.fixture
 def mapping_file(tmp_path):
     path = tmp_path / "mapping.json"
@@ -153,10 +161,25 @@ class TestQueryCommand:
         )
 
     def test_scan_engine_agrees(self, mapping_file, source_file, capsys):
+        from repro.concrete import c_chase
+        from repro.oracle import scan_naive_evaluate_concrete
+        from repro.query import ConjunctiveQuery
+
         assert self._query(mapping_file, source_file) == 0
         indexed = capsys.readouterr().out
-        assert self._query(mapping_file, source_file, "--engine", "scan") == 0
-        assert capsys.readouterr().out == indexed
+        solution = c_chase(employment_source_concrete(), employment_setting()).unwrap()
+        scan = scan_naive_evaluate_concrete(
+            ConjunctiveQuery.parse(self.QUERY), solution
+        ).to_temporal()
+        expected = "".join(
+            f"({', '.join(str(v) for v in row)})\t{support}\n" for row, support in scan
+        )
+        assert indexed == expected
+        _rejected_by_argparse(
+            ["query", "--mapping", mapping_file, "--source", source_file,
+             "--query", self.QUERY, "--engine", "scan"],
+            capsys,
+        )
 
     def test_incremental_replay_chain(
         self, mapping_file, source_file, tmp_path, capsys
@@ -191,19 +214,46 @@ class TestQueryCommand:
                 str(tmp_path / "query.log"),
             )
 
-    def test_incremental_rejects_scan_engine(
-        self, mapping_file, source_file, tmp_path
+    def test_failed_query_log_write_keeps_previous_log(
+        self, mapping_file, source_file, tmp_path, monkeypatch
     ):
-        with pytest.raises(SystemExit):
-            self._query(
-                mapping_file,
-                source_file,
-                "--engine",
-                "scan",
-                "--incremental",
-                "--query-log",
-                str(tmp_path / "query.log"),
-            )
+        import pickle
+
+        from repro.query import QueryLog
+        from repro.state import load_query_log
+
+        log = tmp_path / "query.log"
+        assert (
+            self._query(mapping_file, source_file, "--incremental", "--query-log", str(log))
+            == 0
+        )
+        before = log.read_bytes()
+        real_dump = pickle.dump
+
+        def dump_then_crash(payload, handle):
+            real_dump(payload, handle)
+            handle.truncate(handle.tell() // 2)
+            raise OSError("disk vanished mid-write")
+
+        monkeypatch.setattr(pickle, "dump", dump_then_crash)
+        with pytest.raises(SystemExit, match="cannot write query log"):
+            self._query(mapping_file, source_file, "--incremental", "--query-log", str(log))
+        monkeypatch.undo()
+        assert log.read_bytes() == before
+        assert isinstance(load_query_log(log), QueryLog)
+        assert sorted(path.name for path in tmp_path.iterdir() if "query" in path.name) == [
+            "query.log"
+        ]
+
+    def test_incremental_rejects_scan_engine(
+        self, mapping_file, source_file, tmp_path, capsys
+    ):
+        _rejected_by_argparse(
+            ["query", "--mapping", mapping_file, "--source", source_file,
+             "--query", self.QUERY, "--engine", "scan", "--incremental",
+             "--query-log", str(tmp_path / "query.log")],
+            capsys,
+        )
 
     def test_corrupt_query_log_rejected(
         self, mapping_file, source_file, tmp_path
@@ -256,10 +306,11 @@ class TestVerifyAndFigures:
 
 class TestEngineAndShardFlags:
     def test_chase_engine_rescan_matches_delta(
-        self, mapping_file, source_file, tmp_path
+        self, mapping_file, source_file, tmp_path, capsys
     ):
+        from repro.oracle import rescan_c_chase
+
         out_delta = tmp_path / "delta.json"
-        out_rescan = tmp_path / "rescan.json"
         assert (
             main(
                 [
@@ -268,33 +319,30 @@ class TestEngineAndShardFlags:
                     mapping_file,
                     "--source",
                     source_file,
-                    "--engine",
-                    "delta",
                     "--out",
                     str(out_delta),
                 ]
             )
             == 0
         )
-        assert (
-            main(
-                [
-                    "chase",
-                    "--mapping",
-                    mapping_file,
-                    "--source",
-                    source_file,
-                    "--engine",
-                    "rescan",
-                    "--out",
-                    str(out_rescan),
-                ]
-            )
-            == 0
+        rescan = rescan_c_chase(employment_source_concrete(), employment_setting())
+        assert json.loads(out_delta.read_text()) == concrete_instance_to_json(
+            rescan.target
         )
-        assert json.loads(out_delta.read_text()) == json.loads(
-            out_rescan.read_text()
+        _rejected_by_argparse(
+            ["chase", "--mapping", mapping_file, "--source", source_file,
+             "--engine", "rescan"],
+            capsys,
         )
+
+    @pytest.mark.parametrize("command", ["chase", "query", "verify", "client"])
+    def test_help_lists_no_engine_join_or_normalization(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        text = capsys.readouterr().out
+        for flag in ("--engine", "--join", "--normalization"):
+            assert flag not in text
 
     def test_verify_with_shards_prints_reports(
         self, mapping_file, source_file, capsys
@@ -316,19 +364,11 @@ class TestEngineAndShardFlags:
         assert "shard 0:" in captured.err and "shard 1:" in captured.err
 
     def test_verify_engine_rescan(self, mapping_file, source_file, capsys):
-        code = main(
-            [
-                "verify",
-                "--mapping",
-                mapping_file,
-                "--source",
-                source_file,
-                "--engine",
-                "rescan",
-            ]
+        _rejected_by_argparse(
+            ["verify", "--mapping", mapping_file, "--source", source_file,
+             "--engine", "rescan"],
+            capsys,
         )
-        assert code == 0
-        assert "correspondence holds" in capsys.readouterr().out
 
 
 class TestSchedulerFlags:
@@ -427,7 +467,7 @@ class TestSchedulerFlags:
     @pytest.mark.parametrize(
         "extra",
         [["--out", "x.json"], ["--pretty"], ["--coalesce"],
-         ["--normalization", "naive"]],
+         ["--norm-log", "x.log"]],
     )
     def test_via_abstract_rejects_concrete_only_flags(
         self, extra, mapping_file, source_file
@@ -610,23 +650,14 @@ class TestNormLogPersistence:
         assert not log.exists()
 
     def test_naive_normalization_rejects_norm_log(
-        self, mapping_file, source_file, tmp_path
+        self, mapping_file, source_file, tmp_path, capsys
     ):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "chase",
-                    "--mapping",
-                    mapping_file,
-                    "--source",
-                    source_file,
-                    "--normalization",
-                    "naive",
-                    "--norm-log",
-                    str(tmp_path / "norm.log"),
-                ]
-            )
-        assert "--norm-log" in str(excinfo.value)
+        _rejected_by_argparse(
+            ["chase", "--mapping", mapping_file, "--source", source_file,
+             "--normalization", "naive", "--norm-log",
+             str(tmp_path / "norm.log")],
+            capsys,
+        )
 
 
 class TestIngestCommand:

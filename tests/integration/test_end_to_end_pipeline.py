@@ -10,6 +10,7 @@ from repro import (
     verify_evaluation_correspondence,
 )
 from repro.correspondence import concrete_is_solution, verify_correspondence
+from repro.oracle import naive_c_chase
 from repro.serialize import (
     instance_from_csv_dict,
     instance_to_csv_dict,
@@ -74,8 +75,8 @@ class TestNormalizationInteroperability:
 
         setting = exchange_setting_join()
         workload = random_employment_history(people=4, timeline=18, seed=5)
-        smart = c_chase(workload.instance, setting, normalization="conjunction")
-        naive = c_chase(workload.instance, setting, normalization="naive")
+        smart = c_chase(workload.instance, setting)
+        naive = naive_c_chase(workload.instance, setting)
         assert smart.succeeded and naive.succeeded
         assert homomorphically_equivalent(
             semantics(smart.target), semantics(naive.target)
@@ -85,10 +86,8 @@ class TestNormalizationInteroperability:
         self, setting, source
     ):
         query = ConjunctiveQuery.parse("q(n, s) :- Emp(n, c, s)")
-        smart_solution = c_chase(
-            source, setting, normalization="conjunction"
-        ).unwrap()
-        naive_solution = c_chase(source, setting, normalization="naive").unwrap()
+        smart_solution = c_chase(source, setting).unwrap()
+        naive_solution = naive_c_chase(source, setting).unwrap()
         assert (
             naive_evaluate_concrete(query, smart_solution).to_temporal()
             == naive_evaluate_concrete(query, naive_solution).to_temporal()

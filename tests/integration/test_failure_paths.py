@@ -6,6 +6,7 @@ from repro.abstract_view import abstract_chase, semantics
 from repro.concrete import ConcreteInstance, c_chase, concrete_fact
 from repro.dependencies import DataExchangeSetting
 from repro.errors import ChaseFailureError
+from repro.oracle import naive_c_chase
 from repro.relational import Schema
 from repro.temporal import Interval, interval
 
@@ -73,7 +74,7 @@ class TestFailureBoundaries:
                 concrete_fact("P", "a", "2", interval=Interval(4, 9)),
             ]
         )
-        assert c_chase(source, key_setting, normalization="naive").failed
+        assert naive_c_chase(source, key_setting).failed
 
     def test_unwrap_raises_with_context(self, key_setting):
         source = ConcreteInstance(

@@ -171,13 +171,30 @@ class TestQueries:
         client.evict("u")
 
     def test_scan_engine_agrees(self, client):
+        from repro.concrete import c_chase
+        from repro.oracle import scan_naive_evaluate_concrete
+        from repro.query import ConjunctiveQuery
+        from repro.server.sessions import _answers_to_json
+
         client.create("eng", ORG_SETTING_JSON, org_source_json(10))
         indexed = client.query("eng", "answer(e, m) :- Reports(e, m)")
-        scan = client.query(
-            "eng", "answer(e, m) :- Reports(e, m)", engine="scan"
-        )
-        assert indexed["answers"] == scan["answers"]
+        solution = c_chase(org_instance(10), exchange_setting_org()).unwrap()
+        scan = scan_naive_evaluate_concrete(
+            ConjunctiveQuery.parse("answer(e, m) :- Reports(e, m)"), solution
+        ).to_temporal()
+        assert indexed["answers"] == _answers_to_json(scan)
         client.evict("eng")
+
+    def test_unknown_query_fields_are_400(self, client):
+        client.create("qfields", ORG_SETTING_JSON, org_source_json(3))
+        with pytest.raises(ClientError) as err:
+            client.post(
+                "/sessions/qfields/query",
+                {"query": "answer(e, m) :- Reports(e, m)", "engine": "scan"},
+            )
+        assert err.value.status == 400
+        assert "unknown query request field(s) ['engine']" in str(err.value)
+        client.evict("qfields")
 
 
 class TestCache:
@@ -272,12 +289,17 @@ class TestErrorMapping:
         [
             ("GET", "/nope", None, 404),
             ("PUT", "/sessions", {}, 405),
-            ("POST", "/sessions", {}, 400),
-            ("POST", "/sessions", {"name": "x y", "setting": {}, "source": {}}, 400),
-            ("POST", "/sessions", {"name": "ok", "setting": {"junk": 1}, "source": {}}, 400),
-            ("POST", "/sessions/ghost/delta", {"add": []}, 404),
+            ("POST", "/sessions", {"v": 1}, 400),
+            ("POST", "/sessions", {"v": 1, "name": "x y", "setting": {}, "source": {}}, 400),
+            (
+                "POST",
+                "/sessions",
+                {"v": 1, "name": "ok", "setting": {"junk": 1}, "source": {}},
+                400,
+            ),
+            ("POST", "/sessions/ghost/delta", {"v": 1, "delta": {"add": []}}, 404),
             ("GET", "/sessions/ghost", None, 404),
-            ("POST", "/sessions/ghost/query", {"query": "x"}, 404),
+            ("POST", "/sessions/ghost/query", {"v": 1, "query": "x"}, 404),
             ("DELETE", "/sessions/ghost", None, 404),
         ],
     )
@@ -315,6 +337,19 @@ class TestErrorMapping:
         assert response.status == 400
         response.read()
         connection.close()
+
+    def test_non_utf8_body_is_400(self, server, client):
+        # A body that is not UTF-8 is a bad body like any other: a 400,
+        # not a connection dropped unanswered.
+        import http.client
+
+        connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        connection.request("POST", "/sessions", body=b"\x83\xcf{}")
+        response = connection.getresponse()
+        assert response.status == 400
+        assert b"invalid JSON body" in response.read()
+        connection.close()
+        assert client.healthz()["status"] == "ok"
 
     @pytest.mark.parametrize(
         "head",

@@ -171,10 +171,10 @@ class TestEnvelope:
         assert set(result["diff"]) == {"add", "remove"}
         client.evict("codec")
 
-    def test_legacy_wire_shape_still_accepted(self, client):
-        """Pre-envelope requests (no ``v``, top-level add/remove) keep
-        working and get the legacy ``added``/``removed`` diff dialect."""
-        client.create("legacy", ORG_SETTING_JSON, {"facts": []})
+    def test_bare_body_without_envelope_is_400(self, client):
+        """A body without ``v`` (the removed pre-envelope dialect) is a
+        400 that names the envelope, and changes nothing."""
+        client.create("bare", ORG_SETTING_JSON, {"facts": []})
         fact = {
             "relation": "Emp",
             "data": [
@@ -183,11 +183,14 @@ class TestEnvelope:
             ],
             "interval": "[0, 5)",
         }
-        result = client.request(
-            "POST", "/sessions/legacy/delta", {"add": [fact], "remove": []}
-        )
-        assert set(result["diff"]) == {"added", "removed"}
-        client.evict("legacy")
+        with pytest.raises(ClientError) as excinfo:
+            client.request(
+                "POST", "/sessions/bare/delta", {"add": [fact], "remove": []}
+            )
+        assert excinfo.value.status == 400
+        assert '{"v": 1, ...}' in str(excinfo.value)
+        assert client.source("bare") == {"facts": []}
+        client.evict("bare")
 
 
 class TestIngestFollowCLI:

@@ -1,8 +1,8 @@
 """Delta-driven chase ≡ full-rescan chase, on generated scenarios.
 
-The semi-naive engine mode ("delta") enumerates each egd round only
-against the facts the previous substitution pass actually added; the
-reference mode ("rescan") re-enumerates the whole instance every round.
+The semi-naive chase enumerates each egd round only against the facts
+the previous substitution pass actually added; the reference in
+:mod:`repro.oracle` re-enumerates the whole instance every round.
 The two must agree on everything observable: success/failure, the final
 instance, the recorded failure, and (because round batching is
 unchanged) the set of egd merges.
@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from repro.chase import chase_snapshot
 from repro.concrete import c_chase
 from repro.dependencies import DataExchangeSetting
+from repro.oracle import rescan_c_chase, rescan_chase_snapshot
 from repro.relational import Schema
 
 from .strategies import employment_instances
@@ -41,8 +42,8 @@ class TestCChaseEngineEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(source=employment_instances())
     def test_delta_equals_rescan(self, source):
-        delta = c_chase(source, JOIN_SETTING, engine="delta")
-        rescan = c_chase(source, JOIN_SETTING, engine="rescan")
+        delta = c_chase(source, JOIN_SETTING)
+        rescan = rescan_c_chase(source, JOIN_SETTING)
         assert delta.failed == rescan.failed
         assert delta.target == rescan.target
         assert delta.normalized_source == rescan.normalized_source
@@ -65,8 +66,8 @@ class TestCChaseEngineEquivalence:
     def test_snapshot_chase_delta_equals_rescan(self, source):
         for point in sorted({0, *source.breakpoints()})[:4]:
             snapshot = source.snapshot(point)
-            delta = chase_snapshot(snapshot, JOIN_SETTING, engine="delta")
-            rescan = chase_snapshot(snapshot, JOIN_SETTING, engine="rescan")
+            delta = chase_snapshot(snapshot, JOIN_SETTING)
+            rescan = rescan_chase_snapshot(snapshot, JOIN_SETTING)
             assert delta.failed == rescan.failed
             assert delta.target == rescan.target
             assert _trace_summary(delta.trace) == _trace_summary(rescan.trace)

@@ -1,12 +1,12 @@
-"""Property suite for the sweep normalization engine.
+"""Property suite for the sweep normalization of Algorithm 1.
 
 Three equivalences, over adversarial interval structure (a small
 endpoint grid forces duplicated endpoints; width-1 and horizon-touching
 intervals, bounded and unbounded, are all generated):
 
-* **sweep ≡ pairwise** — the endpoint-sweep engine produces the same
+* **sweep ≡ pairwise** — the endpoint sweep produces the same
   fragments, in the same instance order, with the same report counts as
-  the historical per-pair reference enumeration;
+  the historical per-pair reference enumeration in :mod:`repro.oracle`;
 * **primitives ≡ brute force** — the overlap/bipartite cluster sweeps
   agree with quadratic pairwise enumeration on clusters and pair counts;
 * **incremental ≡ full** — replaying a recorded
@@ -24,6 +24,7 @@ from repro.concrete import (
     concrete_fact,
     normalize_with_report,
 )
+from repro.oracle import pairwise_normalize_with_report
 from repro.relational import TemporalConjunction, parse_conjunction
 from repro.temporal import (
     INFINITY,
@@ -87,12 +88,8 @@ class TestSweepEqualsPairwise:
     @settings(max_examples=120, deadline=None)
     @given(dense_instances(), st.sampled_from(CONJUNCTION_SETS))
     def test_fragments_counts_and_order(self, instance, conjunctions):
-        swept, sweep_report = normalize_with_report(
-            instance, conjunctions, engine="sweep"
-        )
-        paired, pair_report = normalize_with_report(
-            instance, conjunctions, engine="pairwise"
-        )
+        swept, sweep_report = normalize_with_report(instance, conjunctions)
+        paired, pair_report = pairwise_normalize_with_report(instance, conjunctions)
         assert swept.facts() == paired.facts()
         # Instance iteration is the deterministic fact order consumers
         # see; the engines must agree on it, not just on the set.

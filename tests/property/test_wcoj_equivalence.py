@@ -28,15 +28,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.concrete import ConcreteInstance, c_chase, concrete_fact
+from repro.oracle import join_mode, scan_naive_evaluate_concrete
 from repro.query import ConjunctiveQuery, naive_evaluate_concrete
-from repro.relational import Instance, fact, parse_conjunction
+from repro.relational import Instance, fact, homomorphism, parse_conjunction
 from repro.relational.homomorphism import (
     _flat_join_plan,
     _iter_flat_join_rows,
     _iter_wcoj_rows,
     _plan_is_cyclic,
     find_homomorphisms_with_images,
-    join_mode,
 )
 from repro.temporal import Interval
 from repro.workloads import exchange_setting_triangle
@@ -159,24 +159,22 @@ class TestRowSequenceByteIdentical:
         # auto only pays the generic join's constant factor once some
         # body relation is big enough for the asymptotics to matter;
         # explicit flat/wcoj ignore the cutoff.
-        from repro.relational.homomorphism import (
-            _WCOJ_MIN_FACTS,
-            _wcoj_selected,
-        )
+        from repro.relational.homomorphism import _WCOJ_MIN_FACTS
 
         small = Instance([fact("T", f"a{i}", f"b{i}") for i in range(10)])
         big = Instance(
             [fact("T", f"a{i}", f"b{i}") for i in range(_WCOJ_MIN_FACTS)]
         )
         plan = _flat_join_plan(TRIANGLE)
+        # Looked up at call time: join_mode pins the module's selector.
         with join_mode("auto"):
-            assert not _wcoj_selected(plan, small)
-            assert _wcoj_selected(plan, big)
-            assert _wcoj_selected(plan)  # no instance: cyclicity decides
+            assert not homomorphism._wcoj_selected(plan, small)
+            assert homomorphism._wcoj_selected(plan, big)
+            assert homomorphism._wcoj_selected(plan)  # no instance: cyclicity decides
         with join_mode("wcoj"):
-            assert _wcoj_selected(plan, small)
+            assert homomorphism._wcoj_selected(plan, small)
         with join_mode("flat"):
-            assert not _wcoj_selected(plan, big)
+            assert not homomorphism._wcoj_selected(plan, big)
 
 
 class TestTgdMatchingModeEquivalence:
@@ -272,12 +270,10 @@ class TestQueryAnsweringModeEquivalence:
     def test_cyclic_queries_all_modes(self, source):
         for query in (TRIANGLE_QUERY, FOUR_CYCLE_QUERY):
             with join_mode("flat"):
-                scan = naive_evaluate_concrete(query, source, engine="scan")
+                scan = scan_naive_evaluate_concrete(query, source)
             for mode in MODES:
                 with join_mode(mode):
-                    indexed = naive_evaluate_concrete(
-                        query, source, engine="indexed"
-                    )
+                    indexed = naive_evaluate_concrete(query, source)
                 assert indexed.rows == scan.rows
                 assert list(indexed) == list(scan)
 

@@ -15,6 +15,7 @@ from repro.concrete import (
     normalize_with_report,
 )
 from repro.errors import FormulaError
+from repro.oracle import pairwise_normalize_with_report
 from repro.relational import Constant, TemporalConjunction, Variable, parse_conjunction
 from repro.temporal import Interval
 from repro.workloads import (
@@ -242,8 +243,8 @@ class TestSweepEngineAndLog:
     def test_pairwise_reference_matches_sweep(self):
         inst = algorithm1_example_instance()
         conjs = algorithm1_example_conjunctions()
-        swept, sweep_report = normalize_with_report(inst, conjs, engine="sweep")
-        paired, pair_report = normalize_with_report(inst, conjs, engine="pairwise")
+        swept, sweep_report = normalize_with_report(inst, conjs)
+        paired, pair_report = pairwise_normalize_with_report(inst, conjs)
         assert swept == paired
         assert sweep_report.matched_pairs == pair_report.matched_pairs == 3
         # Example 14's three matched sets are three overlap sets too.
@@ -264,9 +265,10 @@ class TestSweepEngineAndLog:
         assert report.matched_sets == 1  # one overlap set {f, g}
 
     def test_pairwise_rejects_logging(self):
+        # The reference takes only its inputs: no log to record or replay.
         inst = ConcreteInstance()
-        with pytest.raises(ValueError):
-            normalize_with_report(inst, [], engine="pairwise", record=True)
+        with pytest.raises(TypeError):
+            pairwise_normalize_with_report(inst, [], record=True)
 
     def test_record_and_replay_counts(self):
         inst = ConcreteInstance(
