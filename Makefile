@@ -10,9 +10,10 @@
 #                        BENCH_*.json series (informational, no gate)
 #   make coverage      - tests under pytest-cov: fail under $(COV_MIN)%
 #                        line coverage of repro, HTML report in htmlcov/
-#   make verify-incremental - the incremental≡full abstract-chase
-#                        equivalence suite (unit chains + region-sweep
-#                        edge cases + Hypothesis property tests)
+#   make verify-incremental - the incremental≡full equivalence suites of
+#                        the abstract chase and the c-chase replay (unit
+#                        chains + region-sweep edge cases + Hypothesis
+#                        revision chains)
 #   make lint          - ruff over the whole tree (needs `pip install ruff`)
 #   make analyze       - repro.analysis invariant linter over src/
 #                        (stdlib-only; TDX001-TDX003, TDX005, TDX006;
@@ -35,7 +36,7 @@
 
 PYTHON ?= python
 PYTHONPATH_SRC := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
-BENCH_OUT ?= BENCH_pr10.json
+BENCH_OUT ?= BENCH_pr15.json
 COV_MIN ?= 85
 SERVE_PORT ?= 8765
 
@@ -70,6 +71,7 @@ verify-incremental:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest -q \
 		tests/unit/test_incremental_chase.py \
 		tests/property/test_incremental_equivalence.py \
+		tests/property/test_cchase_replay_equivalence.py \
 		tests/integration/test_chase_equivalence_goldens.py
 
 serve:

@@ -17,7 +17,7 @@ from repro.serialize import render_concrete_instance
 from repro.temporal import Interval
 from repro.workloads import employment_setting, overlapping_salary_history
 
-from conftest import emit
+from conftest import emit, record_twin
 
 SCALED_SPANS = (32, 256, 1024, 2048)
 
@@ -71,22 +71,34 @@ def test_fig09_cchase_scaled(benchmark, spans):
 
 @pytest.mark.parametrize("spans", (128, 512))
 def test_fig09_cchase_incremental(benchmark, spans):
-    """The c-chase with fragment-level normalization replay.
+    """The c-chase replaying a recorded run.
 
     A prior run on the unchurned history records its replay state; the
     timed run chases a history where only person 0's jobs changed, so
     every other person's source-side value-equivalence group replays its
-    recorded sweep.  Byte-identical to the from-scratch chase.
+    recorded sweep, and the tgd streams and egd groups replay apart from
+    the churned person's — though the renaming ρ reaches every null
+    minted after person 0.  Byte-identical to the from-scratch chase;
+    ``extra_info`` carries the cold twin's time and the ratio.
     """
     scaled_setting = employment_setting()
     base = overlapping_salary_history(people=8, spans=spans)
     first = c_chase(base.instance, scaled_setting, incremental=True)
     assert first.succeeded
-    churned = overlapping_salary_history(people=8, spans=spans, churn=spans // 4)
-    result = benchmark(
-        lambda: c_chase(churned.instance, scaled_setting, incremental=first)
-    )
+    churned = overlapping_salary_history(
+        people=8, spans=spans, churn=spans // 4
+    ).instance
+    result = benchmark(lambda: c_chase(churned, scaled_setting, incremental=first))
     assert result.succeeded
     source_report, _target_report = result.normalization_reports
     assert source_report.groups_replayed == 7
-    assert result.target == c_chase(churned.instance, scaled_setting).target
+    cold = c_chase(churned, scaled_setting)
+    assert tuple(result.target) == tuple(cold.target)
+    assert [str(step) for step in result.trace.steps] == [
+        str(step) for step in cold.trace.steps
+    ]
+    record_twin(
+        benchmark,
+        lambda: c_chase(churned, scaled_setting, incremental=first),
+        lambda: c_chase(churned, scaled_setting),
+    )

@@ -20,7 +20,7 @@ from repro.query import (
 )
 from repro.workloads import exchange_setting_join, random_employment_history
 
-from conftest import emit
+from conftest import emit, record_twin
 
 QUERY = ConjunctiveQuery.parse("q(n, s) :- Emp(n, c, s)")
 UNION = UnionQuery.of(
@@ -123,3 +123,8 @@ def test_query_log_replayed_join(benchmark):
     )
     assert answers.rows == cold.rows
     assert log.hits > 0 and log.misses == 1
+    record_twin(
+        benchmark,
+        lambda: naive_evaluate_concrete(JOIN_QUERY, solution, log=log),
+        lambda: naive_evaluate_concrete(JOIN_QUERY, solution),
+    )

@@ -11,6 +11,8 @@ Add ``-s`` to see the regenerated figures printed next to the timings.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.workloads import (
@@ -39,3 +41,33 @@ def emit(title: str, body: str) -> None:
     """Print a regenerated artifact in a recognizable block."""
     bar = "=" * 72
     print(f"\n{bar}\n{title}\n{bar}\n{body}")
+
+
+def record_twin(benchmark, fast, cold, rounds: int = 3) -> float:
+    """Time a replayed/cached call against its cold twin, same input and
+    run, and write both times and the ratio into ``extra_info``.
+
+    Each side is the fastest of *rounds* calls.  Returns
+    ``fast_ms / cold_ms`` (below 1 means the fast path wins).  A smoke
+    run (timings disabled) times each side once.
+    """
+    if getattr(benchmark, "disabled", False):
+        rounds = 1
+
+    def best_ms(call) -> float:
+        best = float("inf")
+        for _ in range(rounds):
+            started = time.perf_counter()
+            call()
+            best = min(best, time.perf_counter() - started)
+        return best * 1000.0
+
+    fast_ms = best_ms(fast)
+    cold_ms = best_ms(cold)
+    ratio = fast_ms / cold_ms
+    benchmark.extra_info.update(
+        twin_fast_ms=round(fast_ms, 3),
+        twin_cold_ms=round(cold_ms, 3),
+        twin_fast_over_cold=round(ratio, 4),
+    )
+    return ratio

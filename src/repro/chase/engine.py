@@ -205,6 +205,13 @@ class ChaseDomain(Protocol):
     are enumerated on; ``apply_substitution`` rewrites the underlying
     target in place and returns the *match-view* facts that are new — the
     delta of the next round.
+
+    A domain may also offer ``replay_egd_fixpoint(tasks, trace) -> bool``:
+    :func:`run_egd_fixpoint` calls it first, and a ``True`` answer means
+    the domain resolved the whole fixpoint itself (recording its steps
+    on *trace*) and succeeded; ``False`` runs the live rounds.  The
+    c-chase replay (:mod:`repro.concrete.cchase`) answers from the
+    previous run's recorded egd classes this way.
     """
 
     check_annotations: bool
@@ -251,6 +258,9 @@ def run_egd_fixpoint(
     *_rescan* re-enumerates the full instance every round instead of
     the delta; only :mod:`repro.oracle` passes it.
     """
+    replay = getattr(domain, "replay_egd_fixpoint", None)
+    if replay is not None and replay(tasks, trace):
+        return None
     delta: list[Fact] | None = None  # None = seed round over the full instance
     while True:
         union_find = TermUnionFind(check_annotations=domain.check_annotations)

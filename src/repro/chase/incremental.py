@@ -91,7 +91,9 @@ __all__ = [
     "IncrementalRegionChaser",
     "RegionReuseStats",
     "ReplayLedger",
+    "StreamPatcher",
     "chase_source_delta",
+    "stream_shape",
 ]
 
 
@@ -476,8 +478,14 @@ class _ReplaySnapshotResult(SnapshotChaseResult):
         )
 
 
-def _analyze_stream_shape(tgd) -> _SingleShape | _PairShape | None:
-    atoms = tuple(tgd.lhs.atoms)
+def stream_shape(atoms: Sequence[Atom]) -> _SingleShape | _PairShape | None:
+    """The patchable shape of an lhs match stream over *atoms*, or ``None``.
+
+    Shared by both replaying chasers: the region chaser passes a tgd's
+    lhs atoms, the c-chase replay its lifted lhs atoms (the temporal
+    variable as an ordinary last argument).
+    """
+    atoms = tuple(atoms)
     if len(atoms) == 1:
         return _SingleShape(atoms[0])
     if len(atoms) == 2 and _flat_join_plan(atoms) is not None:
@@ -485,12 +493,324 @@ def _analyze_stream_shape(tgd) -> _SingleShape | _PairShape | None:
     return None
 
 
+class StreamPatcher:
+    """Patches a recorded lhs match stream into the live enumeration order.
+
+    The shared half of both replaying chasers (the cross-region chaser
+    below and the c-chase replay of :mod:`repro.concrete.cchase`): the
+    two generators walk a recorded stream and the diff of the facts it
+    was enumerated over, and yield ``(images, assignment, entry)``
+    triples in exactly the order a live enumeration of the new facts
+    would produce — *entry* is the surviving recorded
+    :class:`_MatchEntry` or ``None`` for a match the diff introduced.
+
+    Two flags track how the processed sequence departs from the
+    recorded one, flipped lazily as the stream is consumed:
+    ``_deviated`` at the first diff-introduced match or dropped entry,
+    ``_dropped`` only at dropped entries (removed recorded content).
+    """
+
+    def __init__(self) -> None:
+        self._deviated = True
+        self._dropped = True
+
+    def patch_stream(
+        self,
+        shape: _SingleShape | _PairShape,
+        log: list[_MatchEntry],
+        recorded_choice: int | None,
+        snapshot: Instance,
+        added: Sequence[Fact],
+        removed_set: frozenset[Fact],
+        diff_relations: set[str],
+    ) -> tuple[
+        Iterable[tuple[tuple[Fact, ...], dict, _MatchEntry | None]],
+        int | None,
+        list[_MatchEntry] | None,
+    ]:
+        """A recorded stream *log* patched to the facts of *snapshot*.
+
+        *snapshot* is the current instance the stream enumerates (only
+        its ``candidate_count`` and ``lookup_ordered`` are used), and
+        ``added``/``removed_set`` its diff against the recorded one.
+        Returns ``(stream, outer_choice, reuse_log)``: the stream of
+        ``(images, assignment, entry)`` triples, the pair orientation
+        it enumerates in (``None`` for a single atom), and the log
+        itself when the diff leaves the stream untouched — a verbatim
+        replay — else ``None``.
+        """
+        outer_choice: int | None = None
+        if isinstance(shape, _PairShape):
+            outer_choice = shape.outer_choice(snapshot)
+            if outer_choice != recorded_choice:
+                # The cardinality rule flipped the join orientation: the
+                # pairs are unchanged, but their enumeration order is the
+                # flipped (outer, inner) sort — re-sort the recorded
+                # stream into it.  The processed order now deviates from
+                # the recorded one, so recorded decisions stop being
+                # forced (dedup may resolve differently).
+                self._deviated = self._dropped = True
+                orientation = shape.orientations[outer_choice]
+                outer_index = orientation.outer_index
+                inner_index = orientation.inner_index
+                pair = orientation.pair
+                # Rebuild the assignments too: their insertion order is
+                # part of the recorded trace, and the fresh enumeration
+                # binds the (new) outer atom's variables first.
+                log = sorted(
+                    (
+                        _MatchEntry(
+                            *pair(
+                                entry.images[outer_index],
+                                entry.images[inner_index],
+                            ),
+                            entry.firing,
+                        )
+                        for entry in log
+                    ),
+                    key=lambda entry: (
+                        entry.images[outer_index].sort_key(),
+                        entry.images[inner_index].sort_key(),
+                    ),
+                )
+        if not (shape.relations & diff_relations):
+            return (
+                ((entry.images, entry.assignment, entry) for entry in log),
+                outer_choice,
+                log,
+            )
+        if isinstance(shape, _SingleShape):
+            return (
+                self._patch_single(shape, log, added, removed_set),
+                None,
+                None,
+            )
+        return (
+            self._patch_pair(
+                shape.orientations[outer_choice],
+                log,
+                snapshot,
+                added,
+                removed_set,
+            ),
+            outer_choice,
+            None,
+        )
+
+    def _patch_single(
+        self,
+        shape: _SingleShape,
+        log: list[_MatchEntry],
+        added: Sequence[Fact],
+        removed_set: frozenset[Fact],
+    ) -> Iterator[tuple[tuple[Fact, ...], dict, _MatchEntry | None]]:
+        """Sorted merge of the surviving recorded stream and the diff's
+        new matching facts — the live single-atom enumeration order."""
+        fresh: list[tuple[tuple, Fact, dict]] = []
+        for item in added:
+            if item.relation != shape.atom.relation:
+                continue
+            assignment = shape.assignment_for(item)
+            if assignment is not None:
+                fresh.append((item.sort_key(), item, assignment))
+        fresh.sort(key=lambda entry: entry[0])
+        position = 0
+        count = len(fresh)
+        for entry in log:
+            image = entry.images[0]
+            if image in removed_set:
+                self._deviated = self._dropped = True
+                continue
+            key = image.sort_key()
+            while position < count and fresh[position][0] < key:
+                _key, item, assignment = fresh[position]
+                position += 1
+                self._deviated = True
+                yield (item,), assignment, None
+            yield entry.images, entry.assignment, entry
+        while position < count:
+            _key, item, assignment = fresh[position]
+            position += 1
+            self._deviated = True
+            yield (item,), assignment, None
+
+    def _patch_pair(
+        self,
+        orientation: _PairOrientation,
+        log: list[_MatchEntry],
+        snapshot: Instance,
+        added: Sequence[Fact],
+        removed_set: frozenset[Fact],
+    ) -> Iterator[tuple[tuple[Fact, ...], dict, _MatchEntry | None]]:
+        """Patched outer-major group join, in live enumeration order.
+
+        Merges three outer-sorted sources without walking the outer
+        relation: the recorded runs (one per outer fact, already in
+        outer order), the diff's new outer facts (partners come from the
+        live snapshot index), and the surviving outer facts that gained
+        partners from the diff's new inner facts (found by probing the
+        join key of each new inner fact — this also covers outer facts
+        that had *no* recorded partners, which the log cannot show).
+        """
+        outer_index = orientation.outer_index
+        inner_index = orientation.inner_index
+        outer_atom = orientation.outer_atom
+        inner_atom = orientation.inner_atom
+        added_outer: set[Fact] = set()
+        added_inner: list[Fact] = []
+        for item in added:
+            if (
+                item.relation == outer_atom.relation
+                and item.arity == outer_atom.arity
+            ):
+                added_outer.add(item)
+            # An atom may join a relation with itself: one added fact can
+            # extend both sides, so these branches are not exclusive.
+            if (
+                item.relation == inner_atom.relation
+                and item.arity == inner_atom.arity
+            ):
+                added_inner.append(item)
+
+        # Surviving outer facts gaining partners: reverse-probe each new
+        # inner fact's join key against the snapshot's outer relation.
+        inner_key_positions = orientation.inner_key_positions
+        outer_key_positions = orientation.outer_key_positions
+        new_partners_of: dict[Fact, list[Fact]] = {}
+        for item in sorted(added_inner, key=Fact.sort_key):
+            bindings = {
+                outer_position: item.args[inner_position]
+                for outer_position, inner_position in zip(
+                    outer_key_positions, inner_key_positions, strict=True
+                )
+            }
+            for outer_fact in snapshot.lookup_ordered(
+                outer_atom.relation, bindings
+            ):
+                if (
+                    outer_fact.arity != outer_atom.arity
+                    or outer_fact in added_outer
+                ):
+                    # New outer facts enumerate all partners live below.
+                    continue
+                new_partners_of.setdefault(outer_fact, []).append(item)
+
+        # Recorded entries are outer-major (equal outer facts adjacent),
+        # so one pass groups them into ordered runs (dict: insertion
+        # order is outer order); runs of a removed outer fact drop out
+        # here, as the fresh outer loop would skip them.
+        runs: dict[Fact, list[_MatchEntry]] = {}
+        last_outer: Fact | None = None
+        for entry in log:
+            outer_fact = entry.images[outer_index]
+            if outer_fact == last_outer:
+                runs[outer_fact].append(entry)
+                continue
+            if outer_fact in removed_set:
+                self._deviated = self._dropped = True
+                last_outer = None
+                continue
+            runs[outer_fact] = [entry]
+            last_outer = outer_fact
+
+        # Outer facts entering the stream with the diff: the new outer
+        # facts themselves, plus surviving outer facts that appear only
+        # through new inner partners (no recorded run).  Both lists are
+        # tiny — splice them into the run walk by sort key (distinct
+        # facts have distinct keys, so ties cannot happen).
+        extra: list[tuple[tuple, Fact, bool]] = [
+            (outer_fact.sort_key(), outer_fact, True)
+            for outer_fact in added_outer
+        ]
+        extra.extend(
+            (outer_fact.sort_key(), outer_fact, False)
+            for outer_fact in new_partners_of
+            if outer_fact not in runs
+        )
+        extra.sort(key=lambda item: item[0])
+
+        pair = orientation.pair
+
+        def emit_extra(outer_fact: Fact, is_added: bool):
+            self._deviated = True
+            if is_added:
+                # New outer fact: all partners come from the live
+                # snapshot index (which already includes the diff's
+                # new inner facts — do not add them again).
+                bindings = {
+                    inner_position: outer_fact.args[outer_position]
+                    for outer_position, inner_position in zip(
+                        outer_key_positions, inner_key_positions, strict=True
+                    )
+                }
+                partners: Iterable[Fact] = (
+                    partner
+                    for partner in snapshot.lookup_ordered(
+                        inner_atom.relation, bindings
+                    )
+                    if partner.arity == inner_atom.arity
+                )
+            else:
+                # Survived with no recorded partners: anything it joins
+                # now must have entered with the diff.
+                partners = new_partners_of.get(outer_fact, ())
+            for partner in partners:
+                yield pair(outer_fact, partner)
+
+        position = 0
+        extra_count = len(extra)
+        for outer_fact, entries in runs.items():
+            run_key = outer_fact.sort_key()
+            while position < extra_count and extra[position][0] < run_key:
+                _key, extra_outer, is_added = extra[position]
+                position += 1
+                for images, assignment in emit_extra(extra_outer, is_added):
+                    yield images, assignment, None
+            new_partners = new_partners_of.get(outer_fact)
+            if new_partners is None:
+                for entry in entries:
+                    if entry.images[inner_index] in removed_set:
+                        self._deviated = self._dropped = True
+                        continue
+                    yield entry.images, entry.assignment, entry
+                continue
+            inner_position = 0
+            inner_count = len(new_partners)
+            for entry in entries:
+                inner_fact = entry.images[inner_index]
+                if inner_fact in removed_set:
+                    self._deviated = self._dropped = True
+                    continue
+                inner_key = inner_fact.sort_key()
+                while (
+                    inner_position < inner_count
+                    and new_partners[inner_position].sort_key() < inner_key
+                ):
+                    partner = new_partners[inner_position]
+                    inner_position += 1
+                    self._deviated = True
+                    images, assignment = pair(outer_fact, partner)
+                    yield images, assignment, None
+                yield entry.images, entry.assignment, entry
+            while inner_position < inner_count:
+                partner = new_partners[inner_position]
+                inner_position += 1
+                self._deviated = True
+                images, assignment = pair(outer_fact, partner)
+                yield images, assignment, None
+        while position < extra_count:
+            _key, extra_outer, is_added = extra[position]
+            position += 1
+            for images, assignment in emit_extra(extra_outer, is_added):
+                yield images, assignment, None
+
+
 # ---------------------------------------------------------------------------
 # The chaser
 # ---------------------------------------------------------------------------
 
 
-class IncrementalRegionChaser:
+class IncrementalRegionChaser(StreamPatcher):
     """Chases one shard's ascending region block with cross-region reuse.
 
     Feed it each region's snapshot and net fact diff (from
@@ -510,10 +830,11 @@ class IncrementalRegionChaser:
         self.variant = variant
         self.tasks = _snapshot_tgd_tasks(setting)
         self.shapes = [
-            _analyze_stream_shape(task.tgd) for task in self.tasks
+            stream_shape(task.tgd.lhs.atoms) for task in self.tasks
         ]
         self.egd_tasks = _egd_tasks(setting)
         self.previous: _RegionRecord | None = None
+        super().__init__()
         # Divergence state of the region being chased.  ``_deviated``
         # flips at the first deviation of the processed match sequence
         # from the recorded one; until then every recorded fire/skip
@@ -524,8 +845,6 @@ class IncrementalRegionChaser:
         # the current target is a superset of the recorded target's
         # ρ-image at every position, so recorded *skip* decisions remain
         # forced and only recorded firings need a live probe.
-        self._deviated = True
-        self._dropped = True
         self._probes_ready = False
 
     # -- public driver -----------------------------------------------------
@@ -747,66 +1066,20 @@ class IncrementalRegionChaser:
                 else None
             )
             return self._live_stream(task, snapshot), rebuilt_choice, None
-        outer_choice: int | None = None
-        log = previous.task_logs[task_index]
-        if isinstance(shape, _PairShape):
-            outer_choice = shape.outer_choice(snapshot)
-            if outer_choice != previous.outer_choices[task_index]:
-                # The cardinality rule flipped the join orientation: the
-                # pairs are unchanged, but their enumeration order is the
-                # flipped (outer, inner) sort — re-sort the recorded
-                # stream into it.  The processed order now deviates from
-                # the recorded one, so recorded decisions stop being
-                # forced (dedup may resolve differently).
-                self._deviated = self._dropped = True
-                orientation = shape.orientations[outer_choice]
-                outer_index = orientation.outer_index
-                inner_index = orientation.inner_index
-                pair = orientation.pair
-                # Rebuild the assignments too: their insertion order is
-                # part of the recorded trace, and the fresh enumeration
-                # binds the (new) outer atom's variables first.
-                log = sorted(
-                    (
-                        _MatchEntry(
-                            *pair(
-                                entry.images[outer_index],
-                                entry.images[inner_index],
-                            ),
-                            entry.firing,
-                        )
-                        for entry in log
-                    ),
-                    key=lambda entry: (
-                        entry.images[outer_index].sort_key(),
-                        entry.images[inner_index].sort_key(),
-                    ),
-                )
-        if not (shape.relations & diff_relations):
-            stats.streams_reused += 1
-            return (
-                ((entry.images, entry.assignment, entry) for entry in log),
-                outer_choice,
-                log,
-            )
-        stats.streams_patched += 1
-        if isinstance(shape, _SingleShape):
-            return (
-                self._patch_single(shape, log, added, removed_set),
-                None,
-                None,
-            )
-        return (
-            self._patch_pair(
-                shape.orientations[outer_choice],
-                log,
-                snapshot,
-                added,
-                removed_set,
-            ),
-            outer_choice,
-            None,
+        stream, outer_choice, reuse_log = self.patch_stream(
+            shape,
+            previous.task_logs[task_index],
+            previous.outer_choices[task_index],
+            snapshot,
+            added,
+            removed_set,
+            diff_relations,
         )
+        if reuse_log is not None:
+            stats.streams_reused += 1
+        else:
+            stats.streams_patched += 1
+        return stream, outer_choice, reuse_log
 
     def _replay_log(
         self,
@@ -900,213 +1173,6 @@ class IncrementalRegionChaser:
             task.tgd.lhs, snapshot, copy=False
         ):
             yield images, dict(assignment), None
-
-    def _patch_single(
-        self,
-        shape: _SingleShape,
-        log: list[_MatchEntry],
-        added: Sequence[Fact],
-        removed_set: frozenset[Fact],
-    ) -> Iterator[tuple[tuple[Fact, ...], dict, _MatchEntry | None]]:
-        """Sorted merge of the surviving recorded stream and the diff's
-        new matching facts — the live single-atom enumeration order."""
-        fresh: list[tuple[tuple, Fact, dict]] = []
-        for item in added:
-            if item.relation != shape.atom.relation:
-                continue
-            assignment = shape.assignment_for(item)
-            if assignment is not None:
-                fresh.append((item.sort_key(), item, assignment))
-        fresh.sort(key=lambda entry: entry[0])
-        position = 0
-        count = len(fresh)
-        for entry in log:
-            image = entry.images[0]
-            if image in removed_set:
-                self._deviated = self._dropped = True
-                continue
-            key = image.sort_key()
-            while position < count and fresh[position][0] < key:
-                _key, item, assignment = fresh[position]
-                position += 1
-                self._deviated = True
-                yield (item,), assignment, None
-            yield entry.images, entry.assignment, entry
-        while position < count:
-            _key, item, assignment = fresh[position]
-            position += 1
-            self._deviated = True
-            yield (item,), assignment, None
-
-    def _patch_pair(
-        self,
-        orientation: _PairOrientation,
-        log: list[_MatchEntry],
-        snapshot: Instance,
-        added: Sequence[Fact],
-        removed_set: frozenset[Fact],
-    ) -> Iterator[tuple[tuple[Fact, ...], dict, _MatchEntry | None]]:
-        """Patched outer-major group join, in live enumeration order.
-
-        Merges three outer-sorted sources without walking the outer
-        relation: the recorded runs (one per outer fact, already in
-        outer order), the diff's new outer facts (partners come from the
-        live snapshot index), and the surviving outer facts that gained
-        partners from the diff's new inner facts (found by probing the
-        join key of each new inner fact — this also covers outer facts
-        that had *no* recorded partners, which the log cannot show).
-        """
-        outer_index = orientation.outer_index
-        inner_index = orientation.inner_index
-        outer_atom = orientation.outer_atom
-        inner_atom = orientation.inner_atom
-        added_outer: set[Fact] = set()
-        added_inner: list[Fact] = []
-        for item in added:
-            if (
-                item.relation == outer_atom.relation
-                and item.arity == outer_atom.arity
-            ):
-                added_outer.add(item)
-            # An atom may join a relation with itself: one added fact can
-            # extend both sides, so these branches are not exclusive.
-            if (
-                item.relation == inner_atom.relation
-                and item.arity == inner_atom.arity
-            ):
-                added_inner.append(item)
-
-        # Surviving outer facts gaining partners: reverse-probe each new
-        # inner fact's join key against the snapshot's outer relation.
-        inner_key_positions = orientation.inner_key_positions
-        outer_key_positions = orientation.outer_key_positions
-        new_partners_of: dict[Fact, list[Fact]] = {}
-        for item in sorted(added_inner, key=Fact.sort_key):
-            bindings = {
-                outer_position: item.args[inner_position]
-                for outer_position, inner_position in zip(
-                    outer_key_positions, inner_key_positions, strict=True
-                )
-            }
-            for outer_fact in snapshot.lookup_ordered(
-                outer_atom.relation, bindings
-            ):
-                if (
-                    outer_fact.arity != outer_atom.arity
-                    or outer_fact in added_outer
-                ):
-                    # New outer facts enumerate all partners live below.
-                    continue
-                new_partners_of.setdefault(outer_fact, []).append(item)
-
-        # Recorded entries are outer-major (equal outer facts adjacent),
-        # so one pass groups them into ordered runs (dict: insertion
-        # order is outer order); runs of a removed outer fact drop out
-        # here, as the fresh outer loop would skip them.
-        runs: dict[Fact, list[_MatchEntry]] = {}
-        last_outer: Fact | None = None
-        for entry in log:
-            outer_fact = entry.images[outer_index]
-            if outer_fact == last_outer:
-                runs[outer_fact].append(entry)
-                continue
-            if outer_fact in removed_set:
-                self._deviated = self._dropped = True
-                last_outer = None
-                continue
-            runs[outer_fact] = [entry]
-            last_outer = outer_fact
-
-        # Outer facts entering the stream with the diff: the new outer
-        # facts themselves, plus surviving outer facts that appear only
-        # through new inner partners (no recorded run).  Both lists are
-        # tiny — splice them into the run walk by sort key (distinct
-        # facts have distinct keys, so ties cannot happen).
-        extra: list[tuple[tuple, Fact, bool]] = [
-            (outer_fact.sort_key(), outer_fact, True)
-            for outer_fact in added_outer
-        ]
-        extra.extend(
-            (outer_fact.sort_key(), outer_fact, False)
-            for outer_fact in new_partners_of
-            if outer_fact not in runs
-        )
-        extra.sort(key=lambda item: item[0])
-
-        pair = orientation.pair
-
-        def emit_extra(outer_fact: Fact, is_added: bool):
-            self._deviated = True
-            if is_added:
-                # New outer fact: all partners come from the live
-                # snapshot index (which already includes the diff's
-                # new inner facts — do not add them again).
-                bindings = {
-                    inner_position: outer_fact.args[outer_position]
-                    for outer_position, inner_position in zip(
-                        outer_key_positions, inner_key_positions, strict=True
-                    )
-                }
-                partners: Iterable[Fact] = (
-                    partner
-                    for partner in snapshot.lookup_ordered(
-                        inner_atom.relation, bindings
-                    )
-                    if partner.arity == inner_atom.arity
-                )
-            else:
-                # Survived with no recorded partners: anything it joins
-                # now must have entered with the diff.
-                partners = new_partners_of.get(outer_fact, ())
-            for partner in partners:
-                yield pair(outer_fact, partner)
-
-        position = 0
-        extra_count = len(extra)
-        for outer_fact, entries in runs.items():
-            run_key = outer_fact.sort_key()
-            while position < extra_count and extra[position][0] < run_key:
-                _key, extra_outer, is_added = extra[position]
-                position += 1
-                for images, assignment in emit_extra(extra_outer, is_added):
-                    yield images, assignment, None
-            new_partners = new_partners_of.get(outer_fact)
-            if new_partners is None:
-                for entry in entries:
-                    if entry.images[inner_index] in removed_set:
-                        self._deviated = self._dropped = True
-                        continue
-                    yield entry.images, entry.assignment, entry
-                continue
-            inner_position = 0
-            inner_count = len(new_partners)
-            for entry in entries:
-                inner_fact = entry.images[inner_index]
-                if inner_fact in removed_set:
-                    self._deviated = self._dropped = True
-                    continue
-                inner_key = inner_fact.sort_key()
-                while (
-                    inner_position < inner_count
-                    and new_partners[inner_position].sort_key() < inner_key
-                ):
-                    partner = new_partners[inner_position]
-                    inner_position += 1
-                    self._deviated = True
-                    images, assignment = pair(outer_fact, partner)
-                    yield images, assignment, None
-                yield entry.images, entry.assignment, entry
-            while inner_position < inner_count:
-                partner = new_partners[inner_position]
-                inner_position += 1
-                self._deviated = True
-                images, assignment = pair(outer_fact, partner)
-                yield images, assignment, None
-        while position < extra_count:
-            _key, extra_outer, is_added = extra[position]
-            position += 1
-            for images, assignment in emit_extra(extra_outer, is_added):
-                yield images, assignment, None
 
     def _scan_extension(
         self,
@@ -1352,8 +1418,9 @@ def chase_source_delta(
     hand: strictly apply *delta* to a copy of *source* (the input is
     never mutated), then run the concrete c-chase with *state* — a
     :class:`~repro.concrete.cchase.CChaseReplayState` from a previous
-    result — attached, so every normalization group and query ledger
-    the delta left intact replays instead of recomputing.  Returns
+    result — attached, so the normalization groups, tgd firings and egd
+    classes the delta left intact replay instead of recomputing (see
+    :func:`~repro.concrete.cchase.c_chase`).  Returns
     ``(new_source, result)``; feed ``result.replay_state`` back in as
     *state* on the next delta.
 

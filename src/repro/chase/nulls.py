@@ -137,7 +137,7 @@ class NullFactory:
         self.prefix, self._counter, self._generations = state
 
     def reissue(
-        self, transcript: Sequence[LabeledNull]
+        self, transcript: Sequence[LabeledNull | AnnotatedNull]
     ) -> dict[GroundTerm, GroundTerm]:
         """Replay a recorded issuance *transcript* with fresh names.
 
@@ -147,9 +147,17 @@ class NullFactory:
         returns the renaming ``recorded null ↦ fresh null`` (in issuance
         order), which is how replayed firings reuse the recorded null
         structure while keeping names byte-identical to a from-scratch
-        run.
+        run.  An interval-annotated null is reissued with its annotation
+        (the c-chase replay: the renamed firing keeps its stamp).
         """
-        return {old: self.fresh() for old in transcript}
+        return {
+            old: (
+                self.fresh_annotated(old.annotation)
+                if isinstance(old, AnnotatedNull)
+                else self.fresh()
+            )
+            for old in transcript
+        }
 
     @property
     def issued(self) -> int:

@@ -174,8 +174,8 @@ def _cmd_chase(args: argparse.Namespace) -> int:
             "error: --shards configures the abstract chase's region "
             "scheduler; add --via abstract to use it"
         )
-    # For the concrete c-chase, --incremental gates the fragment-level
-    # normalization replay chained through --norm-log (on the abstract
+    # For the concrete c-chase, --incremental gates the c-chase replay
+    # chained through --norm-log (on the abstract
     # path it selects the cross-region replay instead).  An explicit
     # --incremental without a replay chain to act on would silently do
     # nothing — refuse it with guidance instead.
@@ -567,9 +567,9 @@ def _add_scheduler_flags(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--norm-log",
         metavar="FILE",
-        help="persist the c-chase's fragment-level normalization replay "
-        "state: when FILE exists it seeds replay of unchanged "
-        "value-equivalence groups, and the run's state is written back "
+        help="persist the c-chase's replay state: when FILE exists it "
+        "seeds replay of the unchanged normalization groups, tgd "
+        "firings and egd classes, and the run's state is written back "
         "(a pickle — only load files this tool wrote for you; "
         "concrete c-chase only)",
     )

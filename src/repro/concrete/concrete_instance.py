@@ -105,6 +105,24 @@ class ConcreteInstance:
     def add_all(self, items: Iterable[ConcreteFact]) -> int:
         return sum(1 for item in items if self.add(item))
 
+    @classmethod
+    def from_buckets(
+        cls, buckets: Mapping[str, Iterable[ConcreteFact]]
+    ) -> "ConcreteInstance":
+        """A schema-less instance over per-relation fact collections.
+
+        The bulk form of :meth:`add` for a caller that already holds the
+        facts split by relation: each collection must hold facts of its
+        own relation only.  Empty collections are dropped.
+        """
+        instance = cls()
+        instance._facts_by_relation = {
+            relation: bucket
+            for relation, facts in buckets.items()
+            if (bucket := set(facts))
+        }
+        return instance
+
     # -- pickling ------------------------------------------------------------
     def __getstate__(self):
         """Facts and schema only — the lifted view rebuilds on first use.

@@ -192,7 +192,8 @@ class SessionManager:
         recorded target — shared, immutable — without touching the chase
         machinery, and the session keeps its replay state.  A miss runs
         the c-chase with that replay state attached (so even misses
-        replay every normalization group the delta left unchanged) and
+        replay the normalization groups, tgd firings and egd classes the
+        delta left unchanged) and
         records the outcome, success or failure, under its digest.
         """
         digest = chase_request_digest(session.setting, source)

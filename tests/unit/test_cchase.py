@@ -231,6 +231,30 @@ class TestIncrementalReplay:
         assert result.replay_state.source is not None
         assert result.replay_state.target is not None
 
+    def test_true_records_every_phase(self, source, setting):
+        state = c_chase(source, setting, incremental=True).replay_state
+        assert state.tgd is not None
+        assert state.egd is not None
+
+    @pytest.mark.parametrize("accepted", [None, False, True])
+    def test_incremental_flags_accepted(self, source, setting, accepted):
+        result = c_chase(source, setting, incremental=accepted)
+        assert result.target == c_chase(source, setting).target
+        assert (result.replay_state is not None) == bool(accepted)
+
+    @pytest.mark.parametrize(
+        "rejected", [1, 0, 1.0, "yes", [], object()], ids=repr
+    )
+    def test_incremental_rejects_other_values(self, source, setting, rejected):
+        with pytest.raises(TypeError, match="incremental="):
+            c_chase(source, setting, incremental=rejected)
+
+    def test_incremental_rejects_a_query_log(self, source, setting):
+        from repro.query import QueryLog
+
+        with pytest.raises(TypeError, match="QueryLog"):
+            c_chase(source, setting, incremental=QueryLog())
+
     def test_naive_normalization_has_no_reports(self, source, setting):
         from repro.oracle import naive_c_chase
 

@@ -40,6 +40,16 @@ class TestBasics:
         assert len(inst) == 2
         assert item not in inst
 
+    def test_from_buckets_matches_add(self, instance):
+        buckets = {name: instance.facts_of(name) for name in instance.relation_names()}
+        buckets["R"] = frozenset()
+        built = ConcreteInstance.from_buckets(buckets)
+        assert built == instance
+        assert built.relation_names() == ("E", "S")
+        # The instance owns its buckets: adding does not touch the input.
+        built.add(concrete_fact("E", "Bob", "HP", interval=Interval(1, 2)))
+        assert len(buckets["E"]) == 3 and len(built) == 6
+
     def test_relation_names_and_facts_of(self, instance):
         assert instance.relation_names() == ("E", "S")
         assert len(instance.facts_of("E")) == 3
